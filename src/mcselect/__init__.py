@@ -46,6 +46,7 @@ from .sampling import (
     accept_reject,
     sample_uniform_box,
     sample_uniform_ellipsoid,
+    sample_ellipsoid_direct,
     sample_gaussian,
     sample_truncated_gaussian,
 )

@@ -23,10 +23,10 @@ import numpy as np
 from .numerics import cholesky, chi2_cdf, log_det
 from .regions import Box, BoxPartition, Ellipsoid, ellipsoid_log_volume
 from .sampling import (
+    sample_ellipsoid_direct,
     sample_gaussian,
     sample_truncated_gaussian,
     sample_uniform_box,
-    sample_uniform_ellipsoid,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -89,7 +89,7 @@ def _log_mean_and_se(log_weights: np.ndarray) -> tuple[float, float]:
 def ue_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
     """Average likelihood over a uniform draw on the ellipsoid."""
     _check_samples(m)
-    batch = sample_uniform_ellipsoid(rng, e, m)
+    batch = sample_ellipsoid_direct(rng, e, m)
     log_mean, se = _log_mean_and_se(model.log_likelihood_batch(batch.points))
     return MarginalEstimate(log_mean, se, m, "ue")
 
@@ -140,6 +140,11 @@ def ub_estimate(rng, model, box: Box, m: int) -> MarginalEstimate:
     return MarginalEstimate(log_mean, se, m, "ub")
 
 
+def _strata_var(w: np.ndarray, weight: float) -> np.ndarray:
+    """Variance term (weight sd / sqrt(n))^2 of each row's mean; w is (strata, n)."""
+    return (weight * np.std(w, axis=1, ddof=1) / math.sqrt(w.shape[1])) ** 2
+
+
 def ub_stratified_estimate(rng, model, part: BoxPartition, m: int) -> MarginalEstimate:
     """Stratified version of ub_estimate over an equal-mass partition.
 
@@ -147,27 +152,40 @@ def ub_stratified_estimate(rng, model, part: BoxPartition, m: int) -> MarginalEs
     combined with weight 1/K, which can only reduce the variance relative
     to pooling the same draws.  A single-stratum partition reproduces
     ub_estimate draw for draw.
+
+    The draws come from one (K * per, d) block of uniforms, stratum after
+    stratum, and the sums run in stratum order.  With one draw per stratum
+    there is no within-stratum variance; the SE then comes from Cochran's
+    collapsed strata: adjacent pairs (the last three as a triple when K is
+    odd) are treated as strata, which overstates the variance by the spread
+    between their means instead of reporting zero.
     """
     _check_samples(m)
     mass = part.mass
+    K = part.count
     per = max(1, round(mass * m))
-    lls = []
-    for k in range(part.count):
-        batch = sample_uniform_box(rng, part.sub_box(k), per)
-        lls.append(model.log_likelihood_batch(batch.points))
-    shift = max(float(np.max(a)) for a in lls)
+    lo, hi = part.bounds()
+    points = rng.random((K * per, part.box.dim))
+    points *= np.repeat(hi - lo, per, axis=0)
+    points += np.repeat(lo, per, axis=0)
+    ll = model.log_likelihood_batch(points)
+    shift = float(np.max(ll))
     if shift == -math.inf:
-        return MarginalEstimate(-math.inf, 0.0, per * part.count, "ub-strat")
-    total = 0.0
-    var_total = 0.0
-    for a in lls:
-        w = np.exp(a - shift)
-        total += mass * float(np.mean(w))
-        if w.size >= 2:
-            var_total += (mass * float(np.std(w, ddof=1)) / math.sqrt(w.size)) ** 2
+        return MarginalEstimate(-math.inf, 0.0, per * K, "ub-strat")
+    w = np.exp(ll - shift).reshape(K, per)
+    total = float(np.cumsum(mass * np.mean(w, axis=1))[-1])
+    if per >= 2:
+        terms = _strata_var(w, mass)
+    else:
+        y = w[:, 0]
+        cut = K - 3 if K % 2 else K
+        terms = _strata_var(y[:cut].reshape(-1, 2), 2.0 * mass)
+        if cut < K:
+            terms = np.append(terms, _strata_var(y[cut:].reshape(1, 3), 3.0 * mass))
+    var_total = float(np.cumsum(terms)[-1])
     log_value = shift + math.log(total)
     se = math.sqrt(var_total) / total
-    return MarginalEstimate(log_value, se, per * part.count, "ub-strat")
+    return MarginalEstimate(log_value, se, per * K, "ub-strat")
 
 
 def stratification_segments(m: int, max_dim: int) -> int:

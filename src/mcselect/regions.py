@@ -140,8 +140,9 @@ class BoxPartition:
     """Split of a box into segments-per-axis equal sub-boxes.
 
     Sub-boxes are indexed 0 .. segments^dim - 1 in row-major order (last
-    axis fastest) and materialized lazily via sub_box(); all have equal
-    volume, so each carries prior mass 1/count.
+    axis fastest).  bounds() gives all of them as arrays, sub_box() one of
+    them as a Box; all have equal volume, so each carries prior mass
+    1/count.
     """
 
     box: Box
@@ -155,6 +156,24 @@ class BoxPartition:
     def mass(self) -> float:
         return 1.0 / self.count
 
+    def _interpolate(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # interpolate between the parent bounds so neighbouring sub-boxes
+        # share edges exactly and the outer faces coincide with the parent
+        L = self.segments
+        f0 = idx / L
+        f1 = (idx + 1.0) / L
+        lo = self.box.lo * (1.0 - f0) + self.box.hi * f0
+        hi = self.box.lo * (1.0 - f1) + self.box.hi * f1
+        if not np.all(hi > lo):
+            raise ValueError("each upper bound must exceed its lower bound")
+        return lo, hi
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of every sub-box, each of shape (count, dim), in index order."""
+        d, L = self.box.dim, self.segments
+        idx = np.indices((L,) * d, dtype=float).reshape(d, -1).T
+        return self._interpolate(idx)
+
     def sub_box(self, k: int) -> Box:
         if not 0 <= k < self.count:
             raise IndexError(f"sub-box index {k} out of range [0, {self.count})")
@@ -165,13 +184,7 @@ class BoxPartition:
         for axis in range(d - 1, -1, -1):
             idx[axis] = k % L
             k //= L
-        # interpolate between the parent bounds so neighbouring sub-boxes
-        # share edges exactly and the outer faces coincide with the parent
-        f0 = idx / L
-        f1 = (idx + 1.0) / L
-        lo = self.box.lo * (1.0 - f0) + self.box.hi * f0
-        hi = self.box.lo * (1.0 - f1) + self.box.hi * f1
-        return Box(lo, hi)
+        return Box(*self._interpolate(idx))
 
 
 def partition(box: Box, segments: int) -> BoxPartition:

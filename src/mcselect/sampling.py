@@ -2,10 +2,14 @@
 
 Streams are counter-based (Philox) and keyed by (seed, stream index), so
 replications can be dealt out to workers in any order and still produce
-identical draws.  Normals come from Box-Muller on the stream's uniforms;
-region samplers are all built on one generic accept-reject loop so that
-the same seed always yields the same points regardless of how a sampler
-is composed.
+identical draws.  Normals come from Box-Muller on the stream's uniforms.
+
+The uniform-ellipsoid draw behind the ``ue`` rule is exact and consumes a
+fixed number of uniforms: a normalised Gaussian direction (Muller 1959;
+Marsaglia 1972) scaled to a uniform radius in the ball and mapped onto the
+ellipsoid.  The rejection samplers (box proposals on the ellipsoid, the
+truncated Gaussian) share one generic accept-reject loop, so the same seed
+always yields the same points regardless of how a sampler is composed.
 """
 
 from __future__ import annotations
@@ -141,6 +145,31 @@ def sample_uniform_box(rng: np.random.Generator, box: Box, m: int) -> SampleBatc
 def sample_uniform_ellipsoid(rng: np.random.Generator, e: Ellipsoid, m: int) -> SampleBatch:
     """Uniform draws on the ellipsoid: box proposals, membership rejection."""
     return accept_reject(rng, _box_proposer(bounding_box(e)), _ellipsoid_indicator(e), m)
+
+
+def sample_ellipsoid_direct(rng: np.random.Generator, e: Ellipsoid, m: int) -> SampleBatch:
+    """m uniform draws on the ellipsoid, without rejection.
+
+    A point of the radius-sqrt(mu) ball is a direction z/|z| with
+    z ~ N(0, I_d) times the radius sqrt(mu) U^(1/d); theta = center + L^-T v
+    maps the ball onto the ellipsoid, since J = L L'.  The stream advances
+    by exactly standard_normal(rng, (m, d)) and then rng.random(m): that is
+    2 ceil(m d / 2) + m uniforms, whatever the point values.
+    """
+    if m < 1:
+        raise ValueError(f"need at least one sample, got m={m}")
+    d = e.dim
+    z = standard_normal(rng, (m, d))
+    u = rng.random(m)
+    norm = np.sqrt(np.einsum("ij,ij->i", z, z))
+    # |z| = 0 needs a zero Box-Muller radius (probability 2^-53 per pair);
+    # any fixed direction keeps the draw finite and the count unchanged
+    flat = norm == 0.0
+    z[flat, 0] = 1.0
+    norm[flat] = 1.0
+    v = z * (math.sqrt(e.radius) * u ** (1.0 / d) / norm)[:, None]
+    points = e.center + solve_triangular(e.chol, v.T, lower=True, trans="T").T
+    return SampleBatch(points=points, accepted_count=m, proposed_count=m)
 
 
 def _gaussian_proposer(model):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -134,6 +135,49 @@ class TestSelectCommand:
         assert "seed:" in printed
         saved = json.loads((out / "selection.json").read_text())
         assert saved["config"]["seed"] is not None
+
+
+class TestHighOrderUniformEllipsoid:
+    """Order 8 with ue runs to completion.  Box rejection accepts about 1
+    proposal in 66 000 there, under the acceptance floor, so a ue that
+    sampled that way would abort the whole run with exit code 4."""
+
+    RULES = ["aic", "bic", "ue", "ub-strat"]
+
+    def test_select(self, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "order8.json"
+        cfg.write_text(json.dumps({
+            "experiment": "select", "sigma2": 1.0, "max_order": 8,
+            "rules": self.RULES, "samples": 1000, "seed": 4,
+        }))
+        out = tmp_path / "o8"
+        code = main(["select", str(data_csv), "--config", str(cfg), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        results = json.loads((out / "selection.json").read_text())["results"]
+        for rule in ("ue", "ub-strat"):
+            assert len(results[rule]["scores"]) == 8
+            assert all(math.isfinite(v) for v in results[rule]["scores"])
+            assert all(
+                math.isfinite(v) and v > 0.0 for v in results[rule]["mc_std_error_log"]
+            )
+
+    def test_experiment(self, tmp_path, capsys):
+        cfg = tmp_path / "exp8.json"
+        cfg.write_text(json.dumps({
+            "experiment": "fixed", "sigma2": 1.0, "max_order": 8,
+            "rules": self.RULES, "samples": 1000, "n_values": [100],
+            "replications": 3, "true_order": 4,
+            "true_coefficients": [0.1, 0.1, -0.3, 0.4], "seed": 5,
+        }))
+        out = tmp_path / "e8"
+        code = main(["experiment", "--config", str(cfg), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == {rule: 0 for rule in self.RULES}
+        for rule in ("ue", "ub-strat"):
+            assert math.isfinite(report["mean_mc_std_error_log"][rule])
+            assert report["mean_mc_std_error_log"][rule] > 0.0
+            assert report["totals"][rule]["100"]["4"] == 3
 
 
 class TestExperimentCommand:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ConstantLikelihood, trapezoid_log_integral
+from conftest import TRUE_COEFFS, ConstantLikelihood, trapezoid_log_integral
 from mcselect.estimators import (
     aic,
     bic,
@@ -16,9 +16,15 @@ from mcselect.estimators import (
     ueg_estimate,
 )
 from mcselect.models import fit, generate_data, polynomial_regressors
-from mcselect.numerics import chi2_cdf
-from mcselect.regions import bounding_box, build_ellipsoid, default_mu, partition
-from mcselect.sampling import random_stream
+from mcselect.numerics import chi2_cdf, log_det
+from mcselect.regions import (
+    bounding_box,
+    build_ellipsoid,
+    default_mu,
+    ellipsoid_log_volume,
+    partition,
+)
+from mcselect.sampling import random_stream, sample_uniform_box
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -62,7 +68,10 @@ class TestConstantLikelihoodExactness:
         ge = ge_estimate(random_stream(30, 1), model, e, 64)
         ub = ub_estimate(random_stream(30, 2), model, box, 64)
         strat = ub_stratified_estimate(random_stream(30, 3), model, partition(box, 2), 64)
-        for est in (ue, ge, ub, strat):
+        # one draw per stratum, with 25 strata: pairs plus the final triple
+        single = ub_stratified_estimate(random_stream(30, 4), model, partition(box, 5), 25)
+        assert single.samples_used == 25
+        for est in (ue, ge, ub, strat, single):
             assert est.log_value == c
             assert est.mc_std_error_log == 0.0
 
@@ -137,6 +146,42 @@ class TestAgainstQuadrature:
         assert abs(est.log_value - want) < 4.0 * est.mc_std_error_log
 
 
+@pytest.fixture(scope="module")
+def fits_by_dim():
+    """Fits of orders 1..8 to one simulated N=100 dataset."""
+    data = generate_data(random_stream(813, 0), 4, TRUE_COEFFS, 1.0, 100)
+    return {d: fit(data, polynomial_regressors(100, d)) for d in range(1, 9)}
+
+
+def _ue_exact_log(model, e):
+    """Exact ue target: the Gaussian integral over the ellipsoid / its volume."""
+    d = model.dim
+    return (
+        model.max_loglik
+        + 0.5 * d * LOG_2PI
+        - 0.5 * log_det(model.fim)
+        + math.log(chi2_cdf(d, e.radius))
+        - ellipsoid_log_volume(e)
+    )
+
+
+class TestUeCalibration:
+    """z = (estimate - exact) / SE over seeds: centred near 0, spread near 1."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_z_scores(self, fits_by_dim, d):
+        f = fits_by_dim[d]
+        e = build_ellipsoid(f, default_mu(d))
+        exact = _ue_exact_log(f, e)
+        z = []
+        for s in range(40):
+            est = ue_estimate(random_stream(48, 100 * d + s), f, e, 1000)
+            assert est.mc_std_error_log > 0.0
+            z.append((est.log_value - exact) / est.mc_std_error_log)
+        assert abs(float(np.mean(z))) < 0.6
+        assert 0.6 <= float(np.std(z, ddof=1)) <= 1.5
+
+
 class TestUegExactness:
     def test_zero_error_on_linear_gaussian(self, cubic_fit):
         e = build_ellipsoid(cubic_fit, default_mu(4))
@@ -198,6 +243,78 @@ class TestStratifiedUb:
         # 625 strata at max(1, round(1000/625)) = 2 draws each
         assert est.samples_used == 1250
         assert est.method == "ub-strat"
+
+
+def _ub_strat_loop(rng, model, part, m):
+    """Per-stratum reference for ub_stratified_estimate: one Box and one
+    likelihood call per stratum, sums accumulated stratum by stratum.  At
+    one draw per stratum the SE comes from collapsed strata, written out
+    group by group: adjacent pairs, the last three as a triple if K is odd.
+    """
+    mass = part.mass
+    per = max(1, round(mass * m))
+    lls = []
+    for k in range(part.count):
+        batch = sample_uniform_box(rng, part.sub_box(k), per)
+        lls.append(model.log_likelihood_batch(batch.points))
+    shift = max(float(np.max(a)) for a in lls)
+    ws = [np.exp(a - shift) for a in lls]
+    total = 0.0
+    for w in ws:
+        total += mass * float(np.mean(w))
+    if per >= 2:
+        groups = [(w, mass) for w in ws]
+    else:
+        K = part.count
+        cut = K - 3 if K % 2 else K
+        groups = [(np.concatenate(ws[i : i + 2]), 2.0 * mass) for i in range(0, cut, 2)]
+        if cut < K:
+            groups.append((np.concatenate(ws[cut:]), 3.0 * mass))
+    var_total = 0.0
+    for g, weight in groups:
+        var_total += (weight * float(np.std(g, ddof=1)) / math.sqrt(g.size)) ** 2
+    return shift + math.log(total), math.sqrt(var_total) / total, per * part.count
+
+
+class TestStratifiedVectorised:
+    @pytest.mark.parametrize("per", [1, 2, 5])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_bit_identical_to_loop(self, fits_by_dim, d, per):
+        f = fits_by_dim[d]
+        part = partition(bounding_box(build_ellipsoid(f, default_mu(d))), 3 if d <= 4 else 2)
+        m = per * part.count
+        for s in range(3):
+            want = _ub_strat_loop(random_stream(49, 10 * d + s), f, part, m)
+            est = ub_stratified_estimate(random_stream(49, 10 * d + s), f, part, m)
+            assert (est.log_value, est.mc_std_error_log, est.samples_used) == want
+
+    def test_default_design_bit_identical(self, fits_by_dim):
+        # 1000 samples at order 6: 3 segments, 729 strata, one draw each
+        f = fits_by_dim[6]
+        part = partition(bounding_box(build_ellipsoid(f, default_mu(6))), 3)
+        want = _ub_strat_loop(random_stream(50, 0), f, part, 1000)
+        est = ub_stratified_estimate(random_stream(50, 0), f, part, 1000)
+        assert (est.log_value, est.mc_std_error_log, est.samples_used) == want
+
+    @pytest.mark.parametrize("segments", [2, 3])
+    def test_one_draw_per_stratum_has_positive_se(self, cubic_fit, segments):
+        e = build_ellipsoid(cubic_fit, default_mu(4))
+        part = partition(bounding_box(e), segments)
+        est = ub_stratified_estimate(random_stream(51, segments), cubic_fit, part, part.count)
+        assert est.samples_used == part.count
+        assert est.mc_std_error_log > 0.0
+
+    def test_collapsed_se_tracks_the_spread(self, cubic_fit):
+        # collapsed strata overstate the variance, but stay on its scale
+        e = build_ellipsoid(cubic_fit, default_mu(4))
+        part = partition(bounding_box(e), 5)
+        ests = [
+            ub_stratified_estimate(random_stream(52, s), cubic_fit, part, 625)
+            for s in range(200)
+        ]
+        sd = float(np.std([est.log_value for est in ests], ddof=1))
+        mean_se = float(np.mean([est.mc_std_error_log for est in ests]))
+        assert 0.8 * sd <= mean_se <= 3.0 * sd
 
 
 class TestStratificationSegments:

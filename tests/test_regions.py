@@ -207,6 +207,25 @@ class TestPartition:
         with pytest.raises(IndexError):
             part.sub_box(4)
 
+    @pytest.mark.parametrize("segments", [1, 2, 3])
+    def test_bounds_match_sub_boxes(self, segments):
+        b = Box(np.array([0.1, -2.0, 3.0]), np.array([0.9, 1.5, 7.0]))
+        part = partition(b, segments)
+        lo, hi = part.bounds()
+        assert lo.shape == hi.shape == (part.count, 3)
+        for k in range(part.count):
+            sub = part.sub_box(k)
+            assert np.array_equal(lo[k], sub.lo)
+            assert np.array_equal(hi[k], sub.hi)
+
+    def test_collapsed_sub_box_rejected(self):
+        # at 1e16 the float spacing is 2, so eighths of a width-4 box collapse
+        part = partition(Box(np.array([1e16]), np.array([1e16 + 4.0])), 8)
+        with pytest.raises(ValueError):
+            part.bounds()
+        with pytest.raises(ValueError):
+            part.sub_box(0)
+
 
 class TestCoverage:
     def test_ellipsoid_covers_truth_at_expected_rate(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import random_spd
 from mcselect.numerics import chi2_cdf
@@ -10,6 +11,7 @@ from mcselect.sampling import (
     AcceptanceTooLow,
     accept_reject,
     random_stream,
+    sample_ellipsoid_direct,
     sample_gaussian,
     sample_truncated_gaussian,
     sample_uniform_box,
@@ -201,6 +203,86 @@ class TestUniformEllipsoid:
         # uniform on a radius-2 disk: per-axis sd is radius/2 = 1
         se = 1.0 / math.sqrt(50_000)
         assert np.all(np.abs(np.mean(batch.points, axis=0) - e.center) < 5.0 * se)
+
+
+class _ZeroRadiusStream:
+    """Uniform source whose first block is all zeros, so every Box-Muller
+    radius, and hence every direction vector z, is exactly zero."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        return np.zeros(size) if self.calls == 1 else np.full(size, 0.5)
+
+
+class TestEllipsoidDirect:
+    def _ellipsoid(self, d, seed=0):
+        J = random_spd(np.random.default_rng(seed), d, jitter=1.0)
+        return build_ellipsoid(_Point(np.linspace(-1.0, 2.0, d), J), 6.0 + 2.0 * d)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_all_points_inside(self, d):
+        e = self._ellipsoid(d, seed=d)
+        batch = sample_ellipsoid_direct(random_stream(27, d), e, 20_000)
+        assert batch.points.shape == (20_000, d)
+        assert batch.accepted_count == batch.proposed_count == 20_000
+        assert np.all(mahalanobis_sq(e, batch.points) <= e.radius)
+        dev = batch.points - e.center
+        q = np.einsum("ij,jk,ik->i", dev, e.metric, dev)
+        assert np.all(q <= e.radius * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("d", [1, 3, 6, 8])
+    def test_radial_law_is_uniform(self, d):
+        # uniform on the ellipsoid <=> (q/mu)^(d/2) ~ U(0, 1)
+        e = self._ellipsoid(d, seed=10 + d)
+        batch = sample_ellipsoid_direct(random_stream(28, d), e, 20_000)
+        v = (mahalanobis_sq(e, batch.points) / e.radius) ** (0.5 * d)
+        assert stats.kstest(v, "uniform").pvalue > 1e-3
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    def test_mean_and_covariance(self, d):
+        # uniform on {x' J x <= mu} has covariance mu / (d + 2) J^-1
+        e = self._ellipsoid(d, seed=20 + d)
+        m = 60_000
+        batch = sample_ellipsoid_direct(random_stream(29, d), e, m)
+        cov_want = e.radius / (d + 2.0) * np.linalg.inv(e.metric)
+        axis_sd = np.sqrt(np.diag(cov_want))
+        mean_err = np.abs(np.mean(batch.points, axis=0) - e.center)
+        assert np.all(mean_err < 5.0 * axis_sd / math.sqrt(m))
+        cov_got = np.atleast_2d(np.cov(batch.points.T))
+        assert np.max(np.abs(cov_got - cov_want)) / np.max(np.abs(cov_want)) < 0.03
+
+    def test_deterministic(self):
+        e = self._ellipsoid(4)
+        a = sample_ellipsoid_direct(random_stream(30, 5), e, 777)
+        b = sample_ellipsoid_direct(random_stream(30, 5), e, 777)
+        c = sample_ellipsoid_direct(random_stream(30, 6), e, 777)
+        assert np.array_equal(a.points, b.points)
+        assert not np.array_equal(a.points, c.points)
+
+    @pytest.mark.parametrize("d,m", [(1, 7), (3, 5), (4, 10), (6, 1000)])
+    def test_fixed_draw_count(self, d, m):
+        # documented: standard_normal(rng, (m, d)) then rng.random(m),
+        # i.e. 2 ceil(m d / 2) + m uniforms, whatever the points are
+        rng = random_stream(31, d)
+        sample_ellipsoid_direct(rng, self._ellipsoid(d), m)
+        ref = random_stream(31, d)
+        ref.random(2 * ((m * d + 1) // 2) + m)
+        assert np.array_equal(rng.random(8), ref.random(8))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_zero_direction_stays_finite(self, d):
+        e = self._ellipsoid(d)
+        batch = sample_ellipsoid_direct(_ZeroRadiusStream(), e, 4)
+        assert np.all(np.isfinite(batch.points))
+        q = mahalanobis_sq(e, batch.points)
+        assert np.allclose(q, e.radius * 0.5 ** (2.0 / d), rtol=1e-12)
+
+    def test_invalid_m(self):
+        with pytest.raises(ValueError):
+            sample_ellipsoid_direct(random_stream(32, 0), self._ellipsoid(2), 0)
 
 
 class TestGaussian:
