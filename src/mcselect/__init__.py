@@ -15,7 +15,6 @@ from .numerics import (
     log_det,
     chi2_cdf,
     unit_ball_volume,
-    log_sum_exp,
 )
 from .models import (
     Dataset,
@@ -61,7 +60,6 @@ from .estimators import (
     ub_estimate,
     ub_stratified_estimate,
     stratification_segments,
-    mc_variance_bound,
 )
 from .selection import (
     EmptyCandidates,

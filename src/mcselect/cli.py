@@ -137,10 +137,13 @@ def _cmd_sample_diag(args) -> int:
         if row.get("singular"):
             print(f"order {row['order']}: singular fit, skipped")
             continue
+        box, gauss = (
+            "below floor" if rate is None else f"{rate:.4f}"
+            for rate in (row["box_rejection_acceptance"], row["gaussian_rejection_acceptance"])
+        )
         print(
             f"order {row['order']}: rho {row['ellipsoid_mass_rho']:.4f}  "
-            f"box acceptance {row['box_rejection_acceptance']:.4f}  "
-            f"gaussian acceptance {row['gaussian_rejection_acceptance']:.4f}"
+            f"box acceptance {box}  gaussian acceptance {gauss}"
         )
     cov = diag["coverage"]
     print(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import cholesky, chi2_cdf, log_det
+from .numerics import chi2_cdf
 from .regions import Box, BoxPartition, Ellipsoid, ellipsoid_log_volume
 from .sampling import (
     sample_ellipsoid_direct,
@@ -94,12 +94,11 @@ def ue_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
     return MarginalEstimate(log_mean, se, m, "ue")
 
 
-def _gaussian_log_density(model, points: np.ndarray) -> np.ndarray:
-    fim = np.asarray(model.fim, dtype=float)
-    L = cholesky(fim)
-    z = (points - model.theta_hat) @ L
+def _gaussian_log_density(e: Ellipsoid, points: np.ndarray) -> np.ndarray:
+    # log N(points; center, metric^-1), with (1/2) log det J = sum log diag L
+    z = (points - e.center) @ e.chol
     q = np.einsum("ij,ij->i", z, z)
-    return 0.5 * log_det(fim) - 0.5 * model.dim * LOG_2PI - 0.5 * q
+    return float(np.sum(np.log(np.diag(e.chol)))) - 0.5 * e.dim * LOG_2PI - 0.5 * q
 
 
 def ueg_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
@@ -114,9 +113,9 @@ def ueg_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
     Gaussian family p/g is constant, so the Monte-Carlo error vanishes.
     """
     _check_samples(m)
-    batch = sample_gaussian(rng, model, m)
+    batch = sample_gaussian(rng, e, m)
     log_w = model.log_likelihood_batch(batch.points) - _gaussian_log_density(
-        model, batch.points
+        e, batch.points
     )
     log_mean, se = _log_mean_and_se(log_w)
     rho = chi2_cdf(model.dim, e.radius)
@@ -199,13 +198,3 @@ def stratification_segments(m: int, max_dim: int) -> int:
         L += 1
     return L
 
-
-def mc_variance_bound(model, m: int) -> float:
-    """Log-scale bound on Var(p_hat) for the prior-average estimators.
-
-    Every sampled likelihood is at most exp(max_loglik), so
-    Var(p_hat) <= E[p^2]/m <= exp(2 max_loglik)/m.  Returned as a log.
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    return 2.0 * model.max_loglik - math.log(m)

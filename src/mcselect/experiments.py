@@ -18,7 +18,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -42,11 +42,26 @@ from .regions import (
     default_mu,
     partition,
 )
-from .sampling import random_stream
-from .selection import EmptyCandidates, SelectionOutcome, select_criterion, select_map
+from .sampling import AcceptanceTooLow, random_stream
+from .selection import SelectionOutcome, select_criterion, select_map
 
-VALID_RULES = ("aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat")
-_MC_RULES = frozenset({"ue", "ueg", "ge", "ub", "ub-strat"})
+# rule -> scorer(rng, fit, ellipsoid, box, config).  Criterion rules return a
+# CriterionScore and ignore the stream; the rest return a MarginalEstimate.
+# Estimators are looked up by name at call time, so a wrapper patched onto
+# this module (a tracer, a test double) sees every call.
+RULES = {
+    "aic": lambda rng, f, e, box, c: aic(f),
+    "bic": lambda rng, f, e, box, c: bic(f, f.data.n_points),
+    "ue": lambda rng, f, e, box, c: ue_estimate(rng, f, e, c.samples),
+    "ueg": lambda rng, f, e, box, c: ueg_estimate(rng, f, e, c.samples),
+    "ge": lambda rng, f, e, box, c: ge_estimate(rng, f, e, c.samples),
+    "ub": lambda rng, f, e, box, c: ub_estimate(rng, f, box, c.samples),
+    "ub-strat": lambda rng, f, e, box, c: ub_stratified_estimate(
+        rng, f, partition(box, c.strat_segments()), c.samples
+    ),
+}
+CRITERION_RULES = frozenset({"aic", "bic"})
+_BOX_RULES = frozenset({"ub", "ub-strat"})
 VALID_EXPERIMENTS = ("fixed", "random", "select")
 
 # streams >= this index feed coefficient draws; replication streams count
@@ -93,24 +108,7 @@ class ExperimentConfig:
         return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "sigma2": self.sigma2,
-            "max_order": self.max_order,
-            "rules": list(self.rules),
-            "samples": self.samples,
-            "n_values": list(self.n_values),
-            "replications": self.replications,
-            "true_order": self.true_order,
-            "true_coefficients": None
-            if self.true_coefficients is None
-            else list(self.true_coefficients),
-            "coef_draws": self.coef_draws,
-            "coef_halfwidth": self.coef_halfwidth,
-            "stratification_segments": self.stratification_segments,
-            "mu": None if self.mu is None else list(self.mu),
-            "seed": self.seed,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 _FIELD_TYPES = {
@@ -171,10 +169,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     rules = [str(r).lower() for r in raw["rules"]]
     if not rules:
         raise ConfigError("rules must not be empty")
-    bad = [r for r in rules if r not in VALID_RULES]
+    bad = [r for r in rules if r not in RULES]
     if bad:
         raise ConfigError(
-            f"unknown rules: {', '.join(bad)}; valid rules are {', '.join(VALID_RULES)}"
+            f"unknown rules: {', '.join(bad)}; valid rules are {', '.join(RULES)}"
         )
     if len(set(rules)) != len(rules):
         raise ConfigError("rules contains duplicates")
@@ -217,7 +215,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"mu must list one radius per order (expected {raw['max_order']}, got {len(mu)})"
             )
-        if any(not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)) for v in mu):
+        if any(
+            isinstance(v, bool)
+            or not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v))
+            for v in mu
+        ):
             raise ConfigError("mu entries must be positive finite numbers")
         mu = tuple(float(v) for v in mu)
 
@@ -282,47 +284,29 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
             f"all candidate orders 1..{config.max_order} were singular"
         )
 
-    ellipsoids = [
-        build_ellipsoid(f, config.mu_for(o)) if f is not None else None
-        for o, f in zip(orders, fits)
-    ]
+    # one fit, one ellipsoid and (if a box rule needs it) one box per order
+    need_box = not _BOX_RULES.isdisjoint(config.rules)
+    candidates = []
+    for o, f in zip(orders, fits):
+        if f is None:
+            candidates.append(None)
+            continue
+        e = build_ellipsoid(f, config.mu_for(o))
+        candidates.append((f, e, bounding_box(e) if need_box else None))
     outcomes: dict[str, SelectionOutcome] = {}
     for rule in config.rules:
-        if rule == "aic":
-            scores = [aic(f) if f is not None else None for f in fits]
-            outcomes[rule] = select_criterion(scores, rule=rule, seed=config.seed)
+        scorer = RULES[rule]
+        scored = [None if c is None else scorer(rng, *c, config) for c in candidates]
+        if rule in CRITERION_RULES:
+            outcomes[rule] = select_criterion(scored, rule=rule, seed=config.seed)
             continue
-        if rule == "bic":
-            scores = [bic(f, data.n_points) if f is not None else None for f in fits]
-            outcomes[rule] = select_criterion(scores, rule=rule, seed=config.seed)
-            continue
-        estimates = []
-        for f, e in zip(fits, ellipsoids):
-            if f is None:
-                estimates.append(None)
-                continue
-            if rule == "ue":
-                est = ue_estimate(rng, f, e, config.samples)
-            elif rule == "ueg":
-                est = ueg_estimate(rng, f, e, config.samples)
-            elif rule == "ge":
-                est = ge_estimate(rng, f, e, config.samples)
-            elif rule == "ub":
-                est = ub_estimate(rng, f, bounding_box(e), config.samples)
-            else:
-                part = partition(bounding_box(e), config.strat_segments())
-                est = ub_stratified_estimate(rng, f, part, config.samples)
-            estimates.append(est)
+        ses = [None if est is None else est.mc_std_error_log for est in scored]
         outcomes[rule] = select_map(
-            estimates,
+            scored,
             rule=rule,
             seed=config.seed,
             samples=config.samples,
-            extra={
-                "mc_std_error_log": [
-                    None if est is None else est.mc_std_error_log for est in estimates
-                ]
-            },
+            extra={"mc_std_error_log": ses},
         )
     return outcomes
 
@@ -333,7 +317,6 @@ def _replication_task(args) -> dict:
     (config, stream_index, n_points, true_order, coeffs) = args
     rng = random_stream(config.seed, stream_index)
     data = generate_data(rng, true_order, coeffs, config.sigma2, n_points)
-    excluded = []
     try:
         outcomes = score_candidates(data, config, rng)
     except NoViableCandidate:
@@ -346,7 +329,7 @@ def _replication_task(args) -> dict:
     excluded = [i + 1 for i, s in enumerate(first.scores) if s is None]
     se: dict[str, tuple] = {}
     for rule, out in outcomes.items():
-        if rule in _MC_RULES:
+        if rule not in CRITERION_RULES:
             vals = [v for v in out.extra["mc_std_error_log"] if v is not None]
             se[rule] = (float(np.sum(vals)), len(vals))
     return {
@@ -429,47 +412,45 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     _check_partition_feasible(config)
     start = time.perf_counter()
 
-    tasks = []
-    cells = []  # (n_points, true_order) aligned with tasks
+    # a fixed experiment is a random one with a single true order and a
+    # single coefficient draw, so both share the stream index
+    # ((ni * T + ti) * m + j) * R + r, which is ni * R + r when fixed
     R = config.replications
     if config.experiment == "fixed":
-        coeffs = config.true_coefficients
-        for ni, n_points in enumerate(config.n_values):
-            for r in range(R):
-                tasks.append((config, ni * R + r, n_points, config.true_order, coeffs))
-                cells.append((n_points, config.true_order))
+        draws = {config.true_order: [config.true_coefficients]}
     else:
-        m = config.coef_draws
-        h = config.coef_halfwidth
-        coef_cache = {}
-        for true_order in range(1, config.max_order + 1):
-            for j in range(m):
-                crng = random_stream(
-                    config.seed, _COEF_STREAM_BASE + (true_order - 1) * m + j
-                )
-                coef_cache[(true_order, j)] = tuple(-h + 2.0 * h * crng.random(true_order))
-        for ni, n_points in enumerate(config.n_values):
-            for true_order in range(1, config.max_order + 1):
-                for j in range(m):
-                    base = ((ni * config.max_order + (true_order - 1)) * m + j) * R
-                    for r in range(R):
-                        tasks.append(
-                            (config, base + r, n_points, true_order,
-                             coef_cache[(true_order, j)])
-                        )
-                        cells.append((n_points, true_order))
+        m, h = config.coef_draws, config.coef_halfwidth
+        draws = {
+            t: [
+                tuple(-h + 2.0 * h * random_stream(
+                    config.seed, _COEF_STREAM_BASE + (t - 1) * m + j
+                ).random(t))
+                for j in range(m)
+            ]
+            for t in range(1, config.max_order + 1)
+        }
+    T = len(draws)
+    tasks = []
+    cells = []  # (n_points, true_order) aligned with tasks
+    for ni, n_points in enumerate(config.n_values):
+        for ti, (true_order, coef_list) in enumerate(draws.items()):
+            for j, coeffs in enumerate(coef_list):
+                base = ((ni * T + ti) * len(coef_list) + j) * R
+                for r in range(R):
+                    tasks.append((config, base + r, n_points, true_order, coeffs))
+                    cells.append((n_points, true_order))
 
     results = _run_tasks(tasks, jobs)
 
     counts = {
         rule: {
-            n: {t: [0] * config.max_order for t in _true_orders(config)}
+            n: {t: [0] * config.max_order for t in draws}
             for n in config.n_values
         }
         for rule in config.rules
     }
     totals = {
-        rule: {n: {t: 0 for t in _true_orders(config)} for n in config.n_values}
+        rule: {n: {t: 0 for t in draws} for n in config.n_values}
         for rule in config.rules
     }
     failures = {rule: 0 for rule in config.rules}
@@ -507,12 +488,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     )
 
 
-def _true_orders(config: ExperimentConfig):
-    if config.experiment == "fixed":
-        return [config.true_order]
-    return list(range(1, config.max_order + 1))
-
-
 def select_once(data: Dataset, config: ExperimentConfig) -> dict:
     """Apply every configured rule to one observed dataset."""
     if config.seed is None:
@@ -527,7 +502,9 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
 
     Fits one simulated dataset and reports, per candidate order, the
     empirical acceptance rate of the box-rejection and Gaussian-rejection
-    samplers next to the chi-square mass rho of the ellipsoid.  Coverage
+    samplers next to the chi-square mass rho of the ellipsoid.  A sampler
+    whose acceptance falls below the floor gets null acceptance and
+    proposals, and its AcceptanceTooLow message under below_floor.  Coverage
     refits the true order on fresh replications and counts how often the
     concentration ellipsoid contains the true coefficients.
     """
@@ -553,19 +530,22 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
             continue
         mu = config.mu_for(order)
         e = build_ellipsoid(f, mu)
-        ue_batch = sample_uniform_ellipsoid(rng, e, config.samples)
-        tg_batch = sample_truncated_gaussian(rng, f, e, config.samples)
-        per_order.append(
-            {
-                "order": order,
-                "mu": mu,
-                "ellipsoid_mass_rho": chi2_cdf(order, mu),
-                "box_rejection_acceptance": ue_batch.acceptance_rate,
-                "box_rejection_proposals": ue_batch.proposed_count,
-                "gaussian_rejection_acceptance": tg_batch.acceptance_rate,
-                "gaussian_rejection_proposals": tg_batch.proposed_count,
-            }
+        row = {"order": order, "mu": mu, "ellipsoid_mass_rho": chi2_cdf(order, mu),
+               "below_floor": {}}
+        samplers = (
+            ("box_rejection", sample_uniform_ellipsoid, (e,)),
+            ("gaussian_rejection", sample_truncated_gaussian, (f, e)),
         )
+        for name, sampler, region in samplers:
+            try:
+                batch = sampler(rng, *region, config.samples)
+            except AcceptanceTooLow as err:
+                row[f"{name}_acceptance"] = row[f"{name}_proposals"] = None
+                row["below_floor"][name] = str(err)
+                continue
+            row[f"{name}_acceptance"] = batch.acceptance_rate
+            row[f"{name}_proposals"] = batch.proposed_count
+        per_order.append(row)
 
     truth = np.asarray(config.true_coefficients, dtype=float)
     hits = 0

@@ -1,12 +1,13 @@
 """Log-domain helpers, small dense linear algebra, and the chi-square CDF.
 
 Everything on the likelihood scale crosses module boundaries as a natural
-log; log-zero is represented by ``-inf``.  The chi-square CDF is computed
-from scratch (series / continued fraction for the regularized incomplete
-gamma) so that prior mass factors carry no dependency beyond numpy, and the
-Cholesky factorization is the unblocked textbook loop: the matrices here
-are tiny (candidate dimension, single digits) and the factorization doubles
-as the positive-definiteness test.
+log; log-zero is represented by ``-inf``.  The Cholesky factorization is
+LAPACK's (through scipy.linalg) behind a shape, finiteness and symmetry
+check, and doubles as the positive-definiteness test.  The chi-square CDF
+stays in-package: a lower series below the mode and, above it, a finite
+sum of positive terms that exists because the degrees of freedom are
+integers.  Importing scipy.special for it would cost more start-up time
+and memory than the whole CDF is worth.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+import scipy.linalg
 
 
 class EmptyInput(ValueError):
@@ -50,26 +51,20 @@ def _as_square(m) -> np.ndarray:
 def cholesky(m) -> np.ndarray:
     """Lower-triangular L with L @ L.T == m.
 
-    Raises NotPositiveDefinite as soon as a pivot is <= 0, which is the
-    only positive-definiteness check the package uses.
+    Raises NotPositiveDefinite when LAPACK meets a pivot <= 0, which is
+    the only positive-definiteness check the package uses.
     """
     a = _as_square(m)
-    n = a.shape[0]
-    L = np.zeros((n, n))
-    for j in range(n):
-        pivot = a[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= 0.0 or not math.isfinite(pivot):
-            raise NotPositiveDefinite(f"pivot {pivot:g} at index {j}")
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
+    try:
+        return scipy.linalg.cholesky(a, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as err:
+        raise NotPositiveDefinite(str(err)) from None
 
 
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L.T) x = b given the lower factor L."""
-    z = solve_triangular(L, b, lower=True)
-    return solve_triangular(L, z, lower=True, trans="T")
+    z = scipy.linalg.solve_triangular(L, b, lower=True)
+    return scipy.linalg.solve_triangular(L, z, lower=True, trans="T")
 
 
 def log_det(m) -> float:
@@ -96,41 +91,14 @@ def _gamma_p_series(a: float, x: float) -> float:
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def _gamma_q_cont_frac(a: float, x: float) -> float:
-    # upper tail by Lentz's method on the standard continued fraction
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_RTOL:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """P(a, x), the regularized lower incomplete gamma function."""
-    if a <= 0.0:
-        raise ValueError(f"shape must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(_gamma_p_series(a, x), 1.0)
-    return max(1.0 - _gamma_q_cont_frac(a, x), 0.0)
+def _chi2_upper_tail(df: int, y: float) -> float:
+    # Q(df/2, y) from Q(1/2, y) = erfc(sqrt y) or Q(1, y) = e^-y, then
+    # Q(a+1, y) = Q(a, y) + y^a e^-y / Gamma(a+1): every term is positive
+    a, q = (0.5, math.erfc(math.sqrt(y))) if df % 2 else (1.0, math.exp(-y))
+    while a < 0.5 * df:
+        q += math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+        a += 1.0
+    return q
 
 
 def chi2_cdf(df: int, x: float) -> float:
@@ -141,9 +109,12 @@ def chi2_cdf(df: int, x: float) -> float:
         if math.isnan(x):
             raise ValueError("x is NaN")
         return 1.0 if x > 0 else 0.0
-    if x < 0.0:
+    a, y = 0.5 * df, 0.5 * x
+    if y <= 0.0:  # x <= 0, or so small that x/2 underflows
         return 0.0
-    return regularized_gamma_p(df / 2.0, x / 2.0)
+    if y < a + 1.0:
+        return min(_gamma_p_series(a, y), 1.0)
+    return max(1.0 - _chi2_upper_tail(int(df), y), 0.0)
 
 
 def unit_ball_volume(d: int) -> float:
@@ -154,14 +125,3 @@ def unit_ball_volume(d: int) -> float:
     for k in range(4 - d % 2, d + 1, 2):
         v *= 2.0 * math.pi / k
     return v
-
-
-def log_sum_exp(values) -> float:
-    """log sum exp(v_i), stable under large shifts; empty input is an error."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise EmptyInput("log_sum_exp of no values")
-    m = float(np.max(v))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.sum(np.exp(v - m))))

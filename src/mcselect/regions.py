@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .numerics import DimensionMismatch, cholesky, log_det, unit_ball_volume
+from .numerics import DimensionMismatch, cholesky, unit_ball_volume
 
 PARTITION_CAP = 10**6
 
@@ -33,7 +33,11 @@ def default_mu(dim: int) -> float:
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Region (theta - center)' metric (theta - center) <= radius."""
+    """Region (theta - center)' metric (theta - center) <= radius.
+
+    chol is the lower Cholesky factor of metric, computed once in
+    build_ellipsoid; samplers, densities and volumes all reuse it.
+    """
 
     center: np.ndarray
     metric: np.ndarray
@@ -77,12 +81,12 @@ def contains(e: Ellipsoid, theta: np.ndarray) -> bool:
 
 
 def ellipsoid_log_volume(e: Ellipsoid) -> float:
-    """log of vol = mu^(d/2) V_d / sqrt(det J)."""
+    """log of vol = mu^(d/2) V_d / sqrt(det J), with sqrt(det J) = prod diag L."""
     d = e.dim
     return (
         0.5 * d * math.log(e.radius)
         + math.log(unit_ball_volume(d))
-        - 0.5 * log_det(e.metric)
+        - float(np.sum(np.log(np.diag(e.chol))))
     )
 
 
@@ -115,12 +119,6 @@ class Box:
 
     def log_volume(self) -> float:
         return float(np.sum(np.log(self.widths)))
-
-    def contains_rows(self, thetas: np.ndarray) -> np.ndarray:
-        t = np.asarray(thetas, dtype=float)
-        if t.ndim != 2 or t.shape[1] != self.dim:
-            raise DimensionMismatch(f"expected shape (m, {self.dim}), got {t.shape}")
-        return np.all((t >= self.lo) & (t <= self.hi), axis=1)
 
 
 def bounding_box(e: Ellipsoid) -> Box:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .numerics import cholesky
 from .regions import Box, Ellipsoid, bounding_box, mahalanobis_sq
 
 # accept-reject gives up once the running acceptance rate sits below the
@@ -172,11 +171,9 @@ def sample_ellipsoid_direct(rng: np.random.Generator, e: Ellipsoid, m: int) -> S
     return SampleBatch(points=points, accepted_count=m, proposed_count=m)
 
 
-def _gaussian_proposer(model):
-    L = cholesky(np.asarray(model.fim, dtype=float))
-    inv_l = solve_triangular(L, np.eye(L.shape[0]), lower=True)
-    center = np.asarray(model.theta_hat, dtype=float)
-    d = center.size
+def _gaussian_proposer(e: Ellipsoid):
+    inv_l = solve_triangular(e.chol, np.eye(e.dim), lower=True)
+    center, d = e.center, e.dim
 
     def propose(rng, k):
         return center + standard_normal(rng, (k, d)) @ inv_l
@@ -184,16 +181,24 @@ def _gaussian_proposer(model):
     return propose
 
 
-def sample_gaussian(rng: np.random.Generator, model, m: int) -> SampleBatch:
-    """m draws from N(theta_hat, J^-1) for a fitted model."""
+def sample_gaussian(rng: np.random.Generator, e: Ellipsoid, m: int) -> SampleBatch:
+    """m draws from N(center, metric^-1), the Gaussian of the ellipsoid.
+
+    For a fitted model's concentration ellipsoid that is N(theta_hat, J^-1);
+    the draw reuses the ellipsoid's factor L, as z L^-1 with z ~ N(0, I_d).
+    """
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
-    points = _gaussian_proposer(model)(rng, m)
+    points = _gaussian_proposer(e)(rng, m)
     return SampleBatch(points=points, accepted_count=m, proposed_count=m)
 
 
 def sample_truncated_gaussian(
     rng: np.random.Generator, model, e: Ellipsoid, m: int
 ) -> SampleBatch:
-    """N(theta_hat, J^-1) conditioned on the ellipsoid, by rejection."""
-    return accept_reject(rng, _gaussian_proposer(model), _ellipsoid_indicator(e), m)
+    """N(theta_hat, J^-1) conditioned on the ellipsoid, by rejection.
+
+    e must be the model's concentration ellipsoid: proposals come from its
+    center and factor, which are the model's theta_hat and J.
+    """
+    return accept_reject(rng, _gaussian_proposer(e), _ellipsoid_indicator(e), m)

@@ -232,6 +232,24 @@ class TestSampleDiagCommand:
         assert rows[1]["box_rejection_acceptance"] == 1.0
         assert 0.95 <= saved["coverage"]["fraction"] <= 1.0
 
+    def test_order_7_box_rejection_below_floor(self, tmp_path, capsys):
+        cfg = tmp_path / "diag7.json"
+        cfg.write_text(json.dumps({
+            "experiment": "fixed", "sigma2": 1.0, "max_order": 7,
+            "rules": ["ub"], "samples": 200, "n_values": [100],
+            "replications": 20, "true_order": 4,
+            "true_coefficients": [0.1, 0.1, -0.3, 0.4], "seed": 5,
+        }))
+        out = tmp_path / "diag7_out"
+        code = main(["sample-diag", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "order 7:" in printed and "box acceptance below floor" in printed
+        saved = json.loads((out / "diagnostics.json").read_text())
+        rows = {r["order"]: r for r in saved["samplers"]}
+        assert rows[7]["box_rejection_acceptance"] is None
+        assert "box_rejection" in rows[7]["below_floor"]
+
     def test_needs_fixed_config(self, tmp_path, select_config, capsys):
         code = main(["sample-diag", "--config", str(select_config)])
         assert code == 2

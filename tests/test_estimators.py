@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from conftest import TRUE_COEFFS, ConstantLikelihood, trapezoid_log_integral
 from mcselect.estimators import (
     aic,
     bic,
     ge_estimate,
-    mc_variance_bound,
     stratification_segments,
     ub_estimate,
     ub_stratified_estimate,
@@ -165,21 +165,81 @@ def _ue_exact_log(model, e):
     )
 
 
-class TestUeCalibration:
-    """z = (estimate - exact) / SE over seeds: centred near 0, spread near 1."""
+def _ge_exact_log(model, e):
+    """Exact ge target: mll - (d/2) log 2 + log F_d(2 mu) - log F_d(mu)."""
+    d = model.dim
+    return (
+        model.max_loglik
+        - 0.5 * d * math.log(2.0)
+        + math.log(chi2_cdf(d, 2.0 * e.radius))
+        - math.log(chi2_cdf(d, e.radius))
+    )
 
+
+def _ub_exact_log(model, box):
+    """Exact ub target: the Gaussian integral over the box / its volume.
+
+    P(box) under N(theta_hat, J^-1) comes from Genz's algorithm, seeded.
+    """
+    d = model.dim
+    gauss = multivariate_normal(model.theta_hat, np.linalg.inv(model.fim), seed=0)
+    p_box = gauss.cdf(box.hi, lower_limit=box.lo)
+    return (
+        model.max_loglik
+        + 0.5 * d * LOG_2PI
+        - 0.5 * log_det(model.fim)
+        + math.log(p_box)
+        - box.log_volume()
+    )
+
+
+def _assert_calibrated(estimate, exact, key, d, seeds=40):
+    """z = (estimate - exact) / SE over seeds: centred near 0, spread near 1."""
+    z = []
+    for s in range(seeds):
+        est = estimate(random_stream(key, 100 * d + s))
+        assert est.mc_std_error_log > 0.0
+        z.append((est.log_value - exact) / est.mc_std_error_log)
+    assert abs(float(np.mean(z))) < 0.6
+    assert 0.6 <= float(np.std(z, ddof=1)) <= 1.5
+
+
+class TestUeCalibration:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_z_scores(self, fits_by_dim, d):
         f = fits_by_dim[d]
         e = build_ellipsoid(f, default_mu(d))
-        exact = _ue_exact_log(f, e)
-        z = []
-        for s in range(40):
-            est = ue_estimate(random_stream(48, 100 * d + s), f, e, 1000)
-            assert est.mc_std_error_log > 0.0
-            z.append((est.log_value - exact) / est.mc_std_error_log)
-        assert abs(float(np.mean(z))) < 0.6
-        assert 0.6 <= float(np.std(z, ddof=1)) <= 1.5
+        _assert_calibrated(lambda rng: ue_estimate(rng, f, e, 1000), _ue_exact_log(f, e), 48, d)
+
+
+class TestGeCalibration:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_z_scores(self, fits_by_dim, d):
+        f = fits_by_dim[d]
+        e = build_ellipsoid(f, default_mu(d))
+        _assert_calibrated(lambda rng: ge_estimate(rng, f, e, 1000), _ge_exact_log(f, e), 49, d)
+
+
+class TestUbCalibration:
+    """ub and ub-strat at d = 1..4; from d = 5 the likelihood's peak fills a
+    small part of the box and the z-scores are heavy-tailed (sd ~2-6)."""
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_ub_z_scores(self, fits_by_dim, d):
+        f = fits_by_dim[d]
+        box = bounding_box(build_ellipsoid(f, default_mu(d)))
+        _assert_calibrated(lambda rng: ub_estimate(rng, f, box, 1000), _ub_exact_log(f, box), 50, d)
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_ub_strat_z_scores(self, fits_by_dim, d):
+        # three segments per axis: the split of the default design
+        # (1000 samples, max_order 6), with >= 2 draws per stratum here
+        f = fits_by_dim[d]
+        box = bounding_box(build_ellipsoid(f, default_mu(d)))
+        part = partition(box, stratification_segments(1000, 6))
+        _assert_calibrated(
+            lambda rng: ub_stratified_estimate(rng, f, part, 1000), _ub_exact_log(f, box), 51, d
+        )
 
 
 class TestUegExactness:
@@ -336,33 +396,6 @@ class TestStratificationSegments:
     def test_invalid(self):
         with pytest.raises(ValueError):
             stratification_segments(0, 2)
-
-
-class TestVarianceBound:
-    def test_arithmetic(self):
-        model = ConstantLikelihood(1, 0.0)
-        assert math.isclose(mc_variance_bound(model, 4), -math.log(4.0), rel_tol=1e-14)
-
-    def test_scales_with_peak(self):
-        lo = mc_variance_bound(ConstantLikelihood(1, -5.0), 10)
-        hi = mc_variance_bound(ConstantLikelihood(1, -5.0 + math.log(10.0)), 10)
-        assert math.isclose(hi - lo, 2.0 * math.log(10.0), rel_tol=1e-12)
-
-    def test_invalid_m(self):
-        with pytest.raises(ValueError):
-            mc_variance_bound(ConstantLikelihood(1, 0.0), 0)
-
-    def test_empirical_variance_within_bound(self, intercept_fit):
-        e = build_ellipsoid(intercept_fit, default_mu(1))
-        m = 50
-        vals = [
-            ue_estimate(random_stream(45, s), intercept_fit, e, m).log_value
-            for s in range(400)
-        ]
-        # compare on the scale of p_hat / exp(max_loglik), where the bound is 1/m
-        w = np.exp(np.array(vals) - intercept_fit.max_loglik)
-        bound = math.exp(mc_variance_bound(intercept_fit, m) - 2.0 * intercept_fit.max_loglik)
-        assert float(np.var(w, ddof=1)) <= bound
 
 
 class TestEstimateNeverExceedsPeak:

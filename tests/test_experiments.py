@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -102,6 +103,11 @@ class TestConfigValidation:
             fixed_config(mu=[8.0])
         cfg = fixed_config(mu=[8.0, 10.0, 12.0])
         assert cfg.mu_for(3) == 12.0
+
+    def test_mu_rejects_booleans(self):
+        # true is an int to Python; read as a radius it would be mu = 1.0
+        with pytest.raises(ConfigError, match="mu"):
+            fixed_config(mu=[True, 10.0, 12.0])
 
     def test_random_requirements(self):
         raw = random_config().to_dict()
@@ -250,6 +256,37 @@ class TestRunRandom:
         assert run_experiment(cfg, jobs=1).counts == run_experiment(cfg, jobs=2).counts
 
 
+class TestStreamLayout:
+    """Pins the (seed, index) layout of replications and coefficient draws.
+
+    The digests were taken from criterion-only runs, so they move only if
+    the task enumeration or the data generation changes, not when an
+    estimator does.
+    """
+
+    def _digest(self, tmp_path, raw):
+        paths = write_report(run_experiment(config_from_dict(raw)), tmp_path)
+        with open(paths["prob_correct"], "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    _BASE = {"sigma2": 1.0, "rules": ["aic", "bic"], "samples": 100,
+             "n_values": [20, 40], "seed": 7}
+
+    def test_fixed(self, tmp_path):
+        raw = dict(self._BASE, experiment="fixed", max_order=4, replications=15,
+                   true_order=3, true_coefficients=[0.2, -0.3, 0.1])
+        assert self._digest(tmp_path, raw) == (
+            "09d91b434bec7e13536e2c2e80d318a8670fa46436b831912d3b7ac7abd44059"
+        )
+
+    def test_random(self, tmp_path):
+        raw = dict(self._BASE, experiment="random", max_order=3, replications=4,
+                   coef_draws=3, coef_halfwidth=0.5)
+        assert self._digest(tmp_path, raw) == (
+            "d5f8b33523b13c8e286b633a056a94d3b9af36a594de4f31527a0c9ef2318f3a"
+        )
+
+
 class TestSelectOnce:
     def test_typical_design_recovers_order(self):
         from mcselect.models import generate_data
@@ -335,6 +372,23 @@ class TestDiagnostics:
         cov = diag["coverage"]
         assert cov["order"] == 2
         assert 0.97 <= cov["fraction"] <= 1.0
+
+    def test_box_rejection_below_floor_at_order_7(self):
+        # box acceptance at order 7 sits under the 1e-4 floor; that order's
+        # box figures become null with the reason, and the run goes on
+        cfg = fixed_config(max_order=7, true_order=4, n_values=[100],
+                           true_coefficients=[0.1, 0.1, -0.3, 0.4],
+                           samples=200, replications=20, seed=5)
+        diag = run_diagnostics(cfg)
+        rows = {r["order"]: r for r in diag["samplers"]}
+        assert sorted(rows) == list(range(1, 8))
+        assert rows[7]["box_rejection_acceptance"] is None
+        assert rows[7]["box_rejection_proposals"] is None
+        assert "proposals accepted" in rows[7]["below_floor"]["box_rejection"]
+        assert rows[7]["gaussian_rejection_acceptance"] > 0.9
+        assert rows[1]["below_floor"] == {}
+        assert rows[1]["box_rejection_acceptance"] == 1.0
+        assert diag["coverage"]["replications"] == 20
 
     def test_requires_fixed_kind(self):
         with pytest.raises(ConfigError):

@@ -289,7 +289,7 @@ class TestGaussian:
     def test_mean_and_covariance(self):
         J = random_spd(np.random.default_rng(1), 3, jitter=1.0)
         model = _Point([1.0, 2.0, -1.0], J)
-        batch = sample_gaussian(random_stream(20, 0), model, 60_000)
+        batch = sample_gaussian(random_stream(20, 0), build_ellipsoid(model, 1.0), 60_000)
         cov_want = np.linalg.inv(J)
         axis_sd = np.sqrt(np.diag(cov_want))
         mean_err = np.abs(np.mean(batch.points, axis=0) - model.theta_hat)
@@ -300,16 +300,16 @@ class TestGaussian:
     def test_mahalanobis_is_chi_square(self):
         J = random_spd(np.random.default_rng(2), 4, jitter=1.0)
         model = _Point(np.zeros(4), J)
-        batch = sample_gaussian(random_stream(21, 0), model, 50_000)
         e = build_ellipsoid(model, 1.0)
+        batch = sample_gaussian(random_stream(21, 0), e, 50_000)
         q = mahalanobis_sq(e, batch.points)
         for x in (1.0, 4.0, 9.0, 14.0):
             assert abs(float(np.mean(q <= x)) - chi2_cdf(4, x)) < 0.01
 
     def test_deterministic(self):
-        model = _Point([0.0, 0.0], np.eye(2))
-        a = sample_gaussian(random_stream(22, 0), model, 100)
-        b = sample_gaussian(random_stream(22, 0), model, 100)
+        e = build_ellipsoid(_Point([0.0, 0.0], np.eye(2)), 1.0)
+        a = sample_gaussian(random_stream(22, 0), e, 100)
+        b = sample_gaussian(random_stream(22, 0), e, 100)
         assert np.array_equal(a.points, b.points)
 
 
