@@ -23,6 +23,7 @@ from .models import (
     polynomial_regressors,
     log_likelihood,
     fit,
+    fit_nested,
     generate_data,
     save_dataset_csv,
     load_dataset_y,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import chi2_cdf
-from .regions import Box, BoxPartition, Ellipsoid, ellipsoid_log_volume
+from .regions import Box, BoxPartition, Ellipsoid, ellipsoid_log_volume, mahalanobis_sq
 from .sampling import (
     sample_ellipsoid_direct,
     sample_gaussian,
@@ -96,9 +96,8 @@ def ue_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
 
 def _gaussian_log_density(e: Ellipsoid, points: np.ndarray) -> np.ndarray:
     # log N(points; center, metric^-1), with (1/2) log det J = sum log diag L
-    z = (points - e.center) @ e.chol
-    q = np.einsum("ij,ij->i", z, z)
-    return float(np.sum(np.log(np.diag(e.chol)))) - 0.5 * e.dim * LOG_2PI - 0.5 * q
+    half_log_det = float(np.sum(np.log(np.diag(e.chol))))
+    return half_log_det - 0.5 * e.dim * LOG_2PI - 0.5 * mahalanobis_sq(e, points)
 
 
 def ueg_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:

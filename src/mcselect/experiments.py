@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,8 +33,7 @@ from .estimators import (
     ue_estimate,
     ueg_estimate,
 )
-from .models import Dataset, fit, generate_data, polynomial_regressors
-from .numerics import NotPositiveDefinite
+from .models import Dataset, fit_nested, generate_data, polynomial_regressors
 from .regions import (
     PARTITION_CAP,
     PartitionTooLarge,
@@ -267,47 +267,37 @@ def _check_partition_feasible(config: ExperimentConfig) -> None:
 def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
     """Fit every order and apply every configured rule to one dataset.
 
-    Returns rule -> SelectionOutcome.  Orders whose Gram matrix is
-    singular are excluded from every rule (None scores); if no order fits,
-    NoViableCandidate is raised.  Monte-Carlo rules consume the stream in
-    config order, orders ascending.
+    Returns rule -> SelectionOutcome.  All orders are fitted from one
+    factor of the max-order information matrix; orders from its first
+    singular leading block on are excluded from every rule (None scores),
+    and if no order fits, NoViableCandidate is raised.  Monte-Carlo rules consume
+    the stream in config order, orders ascending.
     """
-    orders = range(1, config.max_order + 1)
-    fits = []
-    for order in orders:
-        try:
-            fits.append(fit(data, polynomial_regressors(data.n_points, order)))
-        except NotPositiveDefinite:
-            fits.append(None)
-    if all(f is None for f in fits):
+    fits = fit_nested(data, polynomial_regressors(data.n_points, config.max_order))
+    if fits[0] is None:
         raise NoViableCandidate(
             f"all candidate orders 1..{config.max_order} were singular"
         )
 
-    # one fit, one ellipsoid and (if a box rule needs it) one box per order
+    # one ellipsoid and one box per fitted order, each only if a rule needs it
+    need_region = not CRITERION_RULES.issuperset(config.rules)
     need_box = not _BOX_RULES.isdisjoint(config.rules)
     candidates = []
-    for o, f in zip(orders, fits):
+    for o, f in enumerate(fits, start=1):
         if f is None:
             candidates.append(None)
             continue
-        e = build_ellipsoid(f, config.mu_for(o))
+        e = build_ellipsoid(f, config.mu_for(o)) if need_region else None
         candidates.append((f, e, bounding_box(e) if need_box else None))
     outcomes: dict[str, SelectionOutcome] = {}
     for rule in config.rules:
         scorer = RULES[rule]
         scored = [None if c is None else scorer(rng, *c, config) for c in candidates]
         if rule in CRITERION_RULES:
-            outcomes[rule] = select_criterion(scored, rule=rule, seed=config.seed)
+            outcomes[rule] = select_criterion(scored, rule=rule)
             continue
         ses = [None if est is None else est.mc_std_error_log for est in scored]
-        outcomes[rule] = select_map(
-            scored,
-            rule=rule,
-            seed=config.seed,
-            samples=config.samples,
-            extra={"mc_std_error_log": ses},
-        )
+        outcomes[rule] = select_map(scored, rule=rule, extra={"mc_std_error_log": ses})
     return outcomes
 
 
@@ -354,7 +344,6 @@ class ExperimentReport:
     excluded: dict
     mean_mc_std_error_log: dict
     wall_time_seconds: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def frequency(self, rule: str, n_points: int, true_order: int, order: int) -> float:
         c = self.counts[rule][n_points][true_order]
@@ -391,15 +380,19 @@ class ExperimentReport:
                 for rule, per_rule in self.counts.items()
             },
             "wall_time_seconds": self.wall_time_seconds,
-            **self.extra,
         }
 
 
 def _run_tasks(tasks, jobs: int):
-    if jobs <= 1:
+    # a fork-started pool forks every worker at the first submit, so never
+    # ask for more workers than there are tasks or usable CPUs
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(jobs, len(tasks), cpus)
+    if workers <= 1:
         return [_replication_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (jobs * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(tasks) // (workers * 8))
         return list(pool.map(_replication_task, tasks, chunksize=chunk))
 
 
@@ -521,11 +514,10 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     data = generate_data(
         rng, config.true_order, config.true_coefficients, config.sigma2, n_points
     )
+    fits = fit_nested(data, polynomial_regressors(n_points, config.max_order))
     per_order = []
-    for order in range(1, config.max_order + 1):
-        try:
-            f = fit(data, polynomial_regressors(n_points, order))
-        except NotPositiveDefinite:
+    for order, f in enumerate(fits, start=1):
+        if f is None:
             per_order.append({"order": order, "singular": True})
             continue
         mu = config.mu_for(order)
@@ -548,16 +540,15 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         per_order.append(row)
 
     truth = np.asarray(config.true_coefficients, dtype=float)
-    hits = 0
-    valid = 0
+    phi = polynomial_regressors(n_points, config.true_order)
+    hits = valid = 0
     for r in range(config.replications):
         rep_rng = random_stream(config.seed, 1 + r)
         rep_data = generate_data(
             rep_rng, config.true_order, truth, config.sigma2, n_points
         )
-        try:
-            f = fit(rep_data, polynomial_regressors(n_points, config.true_order))
-        except NotPositiveDefinite:
+        f = fit_nested(rep_data, phi)[-1]
+        if f is None:
             continue
         e = build_ellipsoid(f, config.mu_for(config.true_order))
         valid += 1
@@ -594,8 +585,6 @@ def write_report(report: ExperimentReport, outdir) -> dict:
     The CSVs are a pure function of config and tallies (no timing), so a
     repeated run with the same seed reproduces them byte for byte.
     """
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     cfg_line = "# config: " + json.dumps(
         report.config, sort_keys=True, separators=(",", ":")

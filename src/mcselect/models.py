@@ -2,9 +2,14 @@
 
 A candidate of order n regresses y on powers 0..n-1 of an input grid
 equally spaced over [-5, 5].  Noise is i.i.d. Gaussian with a known
-variance, so the observed information of the fit is (1/sigma^2) Phi' Phi
+variance, so the observed information of the fit is J = (1/sigma^2) Phi' Phi
 and the maximized log-likelihood is available in closed form from the
 residual sum of squares.
+
+The candidates are nested: the order-d design is the first d columns of
+the max-order one, so its J and J's Cholesky factor are leading blocks of
+the max-order ones.  fit_nested factors J once for every order, and each
+FittedModel carries its block of the factor for the regions and estimators.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionMismatch, cholesky, cholesky_solve
+from .numerics import DimensionMismatch, NotPositiveDefinite, cholesky, cholesky_solve
 from .sampling import standard_normal
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -89,62 +94,76 @@ def log_likelihood(data: Dataset, regressors: np.ndarray, theta: np.ndarray) -> 
 class FittedModel:
     """Least-squares fit of one candidate order, with its information matrix.
 
-    fim is the observed information (1/sigma^2) Phi' Phi, exactly symmetric
-    by construction; max_loglik is the log-likelihood at theta_hat.
+    fim is the observed information J = (1/sigma^2) Phi' Phi, exactly
+    symmetric by construction, and chol its lower Cholesky factor;
+    max_loglik is the log-likelihood at theta_hat.
     """
 
-    order: int
     theta_hat: np.ndarray
     fim: np.ndarray
+    chol: np.ndarray
     max_loglik: float
-    regressors: np.ndarray
     data: Dataset
 
     @property
     def dim(self) -> int:
         return self.theta_hat.size
 
-    def log_likelihood(self, theta: np.ndarray) -> float:
-        return log_likelihood(self.data, self.regressors, theta)
-
     def log_likelihood_batch(self, thetas: np.ndarray) -> np.ndarray:
         """Log-likelihood at each row of thetas, shape (m, dim) -> (m,).
 
         Evaluated through the residual decomposition
-        ll(theta) = max_loglik - (1/2) (theta - theta_hat)' J (theta - theta_hat),
-        which is exact for this family and keeps the quadratic term from
-        cancellation when sigma^2 is tiny.
+        ll(theta) = max_loglik - (1/2) |(theta - theta_hat) L|^2 with J = L L',
+        which is exact for this family, non-negative in the quadratic term,
+        and free of cancellation when sigma^2 is tiny.  einsum, unlike a BLAS
+        product, gives a row the same bits alone or in a batch.
         """
         t = np.asarray(thetas, dtype=float)
         if t.ndim != 2 or t.shape[1] != self.dim:
             raise DimensionMismatch(f"expected shape (m, {self.dim}), got {t.shape}")
-        dev = t - self.theta_hat
-        q = np.einsum("ij,jk,ik->i", dev, self.fim, dev)
-        return self.max_loglik - 0.5 * q
+        z = np.einsum("ij,jk->ik", t - self.theta_hat, self.chol)
+        return self.max_loglik - 0.5 * np.einsum("ij,ij->i", z, z)
 
 
-def fit(data: Dataset, regressors: np.ndarray) -> FittedModel:
-    """Least squares via the normal equations; raises NotPositiveDefinite
-    when the Gram matrix is singular (e.g. more columns than points)."""
+def fit_nested(data: Dataset, regressors: np.ndarray) -> list:
+    """Least-squares fits of the first 1, 2, ... columns, from one factor of J.
+
+    Entry d-1 solves J theta = Phi' y / sigma^2 on the first d columns with
+    the leading d x d block of J's Cholesky factor.  Entries from the first
+    singular leading block of J on are None.
+    """
     phi = np.asarray(regressors, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != data.n_points:
         raise DimensionMismatch(
             f"regressors shape {phi.shape} does not match {data.n_points} data points"
         )
     gram = phi.T @ phi
-    gram = 0.5 * (gram + gram.T)
-    L = cholesky(gram)
-    theta_hat = cholesky_solve(L, phi.T @ data.y)
-    fim = gram / data.noise_variance
-    mll = log_likelihood(data, phi, theta_hat)
-    return FittedModel(
-        order=phi.shape[1],
-        theta_hat=theta_hat,
-        fim=fim,
-        max_loglik=mll,
-        regressors=phi,
-        data=data,
-    )
+    fim = 0.5 * (gram + gram.T) / data.noise_variance
+    width = k = phi.shape[1]
+    while k > 0:
+        try:
+            L = cholesky(fim[:k, :k])
+            break
+        except NotPositiveDefinite:
+            k -= 1
+    # einsum sums each column over the points in one fixed order, so the
+    # order-d fit is bit for bit the same whatever the number of columns
+    score = np.einsum("ij,i->j", phi, data.y) / data.noise_variance
+    fits = []
+    for d in range(1, k + 1):
+        theta_hat = cholesky_solve(L[:d, :d], score[:d])
+        mll = log_likelihood(data, phi[:, :d], theta_hat)
+        fits.append(FittedModel(theta_hat, fim[:d, :d].copy(), L[:d, :d].copy(), mll, data))
+    return fits + [None] * (width - k)
+
+
+def fit(data: Dataset, regressors: np.ndarray) -> FittedModel:
+    """Least squares via the normal equations; raises NotPositiveDefinite
+    when the Gram matrix is singular (e.g. more columns than points)."""
+    model = fit_nested(data, regressors)[-1]
+    if model is None:
+        raise NotPositiveDefinite("the Gram matrix of the regressors is singular")
+    return model
 
 
 def generate_data(rng, order: int, coefficients, sigma2: float, n_points: int) -> Dataset:

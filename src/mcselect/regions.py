@@ -2,9 +2,10 @@
 
 The prior support for a fitted candidate is the ellipsoid
 (theta - theta_hat)' J (theta - theta_hat) <= mu around the estimate,
-with J the observed information.  The axis-aligned bounding box has
-halfwidth sqrt(mu * (J^-1)_kk) along axis k, and can be split into L
-equal segments per axis for stratified sampling.
+with J the observed information.  The ellipsoid takes the fitted model's
+Cholesky factor of J rather than factoring J again.  The axis-aligned
+bounding box has halfwidth sqrt(mu * (J^-1)_kk) along axis k, and can be
+split into L equal segments per axis for stratified sampling.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .numerics import DimensionMismatch, cholesky, unit_ball_volume
+from .numerics import DimensionMismatch, unit_ball_volume
 
 PARTITION_CAP = 10**6
 
@@ -35,8 +36,8 @@ def default_mu(dim: int) -> float:
 class Ellipsoid:
     """Region (theta - center)' metric (theta - center) <= radius.
 
-    chol is the lower Cholesky factor of metric, computed once in
-    build_ellipsoid; samplers, densities and volumes all reuse it.
+    chol is the lower Cholesky factor of metric, taken from the fitted
+    model; samplers, densities and volumes all reuse it.
     """
 
     center: np.ndarray
@@ -53,12 +54,11 @@ def build_ellipsoid(model, mu: float) -> Ellipsoid:
     """Concentration ellipsoid of a fitted model at squared radius mu."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be positive and finite, got {mu}")
-    metric = np.asarray(model.fim, dtype=float)
     return Ellipsoid(
         center=np.asarray(model.theta_hat, dtype=float),
-        metric=metric,
+        metric=np.asarray(model.fim, dtype=float),
         radius=float(mu),
-        chol=cholesky(metric),
+        chol=np.asarray(model.chol, dtype=float),
     )
 
 

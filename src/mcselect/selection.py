@@ -1,10 +1,10 @@
 """Turning per-candidate scores into a selected model order.
 
 Candidates are indexed by order 1..n_max.  MAP selection maximizes
-log p(y|order) + log prior(order) over the candidates that produced an
-estimate; criterion selection minimizes an AIC/BIC-style score.  Ties go
-to the smallest order, and candidates excluded upstream (singular fits)
-are passed as None and skipped.
+log p(y|order) under a uniform model prior over the candidates that
+produced an estimate; criterion selection minimizes an AIC/BIC-style
+score.  Ties go to the smallest order, and candidates excluded upstream
+(singular fits) are passed as None and skipped.
 """
 
 from __future__ import annotations
@@ -21,19 +21,17 @@ class SelectionOutcome:
     """Selected order plus the per-candidate scores that decided it.
 
     scores[i] belongs to order i+1 and is None for excluded candidates;
-    for MAP rules it is the (prior-adjusted) log marginal, for criterion
-    rules the penalized score.
+    for MAP rules it is the log marginal, for criterion rules the
+    penalized score.
     """
 
     rule: str
     selected_order: int
     scores: list
-    seed: int | None = None
-    samples: int | None = None
     extra: dict = field(default_factory=dict)
 
 
-def _pick(scores, better, rule, seed, samples, extra) -> SelectionOutcome:
+def _pick(scores, better, rule, extra) -> SelectionOutcome:
     if not scores:
         raise EmptyCandidates("no candidates given")
     best_idx = None
@@ -46,40 +44,20 @@ def _pick(scores, better, rule, seed, samples, extra) -> SelectionOutcome:
     if best_idx is None:
         raise EmptyCandidates("every candidate was excluded")
     return SelectionOutcome(
-        rule=rule,
-        selected_order=best_idx + 1,
-        scores=list(scores),
-        seed=seed,
-        samples=samples,
-        extra=extra or {},
+        rule=rule, selected_order=best_idx + 1, scores=list(scores), extra=extra or {}
     )
 
 
-def select_map(estimates, log_priors=None, *, rule: str = "map",
-               seed: int | None = None, samples: int | None = None,
-               extra: dict | None = None) -> SelectionOutcome:
+def select_map(estimates, *, rule: str = "map", extra: dict | None = None) -> SelectionOutcome:
     """MAP order from marginal estimates (entry i is order i+1, or None).
 
-    log_priors defaults to a uniform model prior, which drops out.
+    The model prior is uniform, so it drops out of the comparison.
     """
-    if log_priors is not None and len(log_priors) != len(estimates):
-        raise ValueError(
-            f"{len(log_priors)} model log-priors for {len(estimates)} candidates"
-        )
-    scores = []
-    for i, est in enumerate(estimates):
-        if est is None:
-            scores.append(None)
-            continue
-        s = est.log_value
-        if log_priors is not None:
-            s = s + log_priors[i]
-        scores.append(s)
-    return _pick(scores, lambda a, b: a > b, rule, seed, samples, extra)
+    scores = [None if est is None else est.log_value for est in estimates]
+    return _pick(scores, lambda a, b: a > b, rule, extra)
 
 
 def select_criterion(scores, *, rule: str = "criterion",
-                     seed: int | None = None, samples: int | None = None,
                      extra: dict | None = None) -> SelectionOutcome:
     """Smallest penalized score wins; accepts floats or CriterionScores."""
     values = []
@@ -90,4 +68,4 @@ def select_criterion(scores, *, rule: str = "criterion",
             values.append(float(s.value))
         else:
             values.append(float(s))
-    return _pick(values, lambda a, b: a < b, rule, seed, samples, extra)
+    return _pick(values, lambda a, b: a < b, rule, extra)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mcselect.models import Dataset, fit, generate_data, polynomial_regressors
+from mcselect.numerics import cholesky
 from mcselect.sampling import random_stream
 
 settings.register_profile(
@@ -75,6 +76,7 @@ class ConstantLikelihood:
         self.max_loglik = value
         self.theta_hat = np.zeros(dim)
         self.fim = np.eye(dim) if fim is None else np.asarray(fim, dtype=float)
+        self.chol = cholesky(self.fim)
 
     def log_likelihood_batch(self, thetas):
         t = np.asarray(thetas)

@@ -20,7 +20,7 @@ from mcselect.estimators import (
 )
 from mcselect.experiments import config_from_dict, run_experiment
 from mcselect.models import fit, generate_data, polynomial_regressors
-from mcselect.numerics import chi2_cdf
+from mcselect.numerics import chi2_cdf, cholesky
 from mcselect.regions import (
     bounding_box,
     build_ellipsoid,
@@ -41,6 +41,7 @@ class _Point:
     def __init__(self, center, metric):
         self.theta_hat = np.asarray(center, dtype=float)
         self.fim = np.asarray(metric, dtype=float)
+        self.chol = cholesky(self.fim)
         self.dim = self.theta_hat.size
 
 

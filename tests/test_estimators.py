@@ -16,7 +16,7 @@ from mcselect.estimators import (
     ueg_estimate,
 )
 from mcselect.models import fit, generate_data, polynomial_regressors
-from mcselect.numerics import chi2_cdf, log_det
+from mcselect.numerics import chi2_cdf
 from mcselect.regions import (
     bounding_box,
     build_ellipsoid,
@@ -159,7 +159,7 @@ def _ue_exact_log(model, e):
     return (
         model.max_loglik
         + 0.5 * d * LOG_2PI
-        - 0.5 * log_det(model.fim)
+        - 0.5 * np.linalg.slogdet(model.fim)[1]
         + math.log(chi2_cdf(d, e.radius))
         - ellipsoid_log_volume(e)
     )
@@ -187,7 +187,7 @@ def _ub_exact_log(model, box):
     return (
         model.max_loglik
         + 0.5 * d * LOG_2PI
-        - 0.5 * log_det(model.fim)
+        - 0.5 * np.linalg.slogdet(model.fim)[1]
         + math.log(p_box)
         - box.log_volume()
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mcselect import experiments, models
 from mcselect.experiments import (
     ConfigError,
     config_from_dict,
@@ -221,6 +222,89 @@ class TestRunFixed:
         )
         with pytest.raises(PartitionTooLarge):
             run_experiment(cfg)
+
+
+class _SerialPool:
+    """ProcessPoolExecutor stand-in that records its size and maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        return _SerialPool
+
+    def _cpus(self, monkeypatch, n):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+
+    def test_capped_by_task_count(self, pool, monkeypatch):
+        self._cpus(monkeypatch, 64)
+        cfg = fixed_config(replications=4)
+        report = run_experiment(cfg, jobs=500)
+        assert pool.sizes == [4]
+        assert report.counts == run_experiment(cfg, jobs=1).counts
+
+    def test_capped_by_usable_cpus(self, pool, monkeypatch):
+        self._cpus(monkeypatch, 3)
+        run_experiment(fixed_config(replications=10), jobs=500)
+        assert pool.sizes == [3]
+
+    def test_one_worker_runs_in_process(self, pool, monkeypatch):
+        self._cpus(monkeypatch, 1)
+        run_experiment(fixed_config(replications=10), jobs=500)
+        assert pool.sizes == []
+
+    def test_cpu_count_without_affinity(self, pool, monkeypatch):
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        run_experiment(fixed_config(replications=10), jobs=500)
+        assert pool.sizes == [2]
+
+
+class TestSharedFactor:
+    """One factorization per dataset, and regions only for rules that use them."""
+
+    def _count(self, monkeypatch, module, name):
+        calls = []
+        orig = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("rules, ellipsoids", [
+        (["aic", "bic"], 0),
+        (["aic", "bic", "ub"], 6),
+        (["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"], 6),
+    ])
+    def test_calls_per_dataset(self, monkeypatch, rules, ellipsoids):
+        factors = self._count(monkeypatch, models, "cholesky")
+        designs = self._count(monkeypatch, experiments, "polynomial_regressors")
+        built = self._count(monkeypatch, experiments, "build_ellipsoid")
+        data = Dataset(np.sin(np.arange(100.0)), 1.0)
+        cfg = config_from_dict({"experiment": "select", "sigma2": 1.0, "max_order": 6,
+                                "rules": rules, "samples": 50, "seed": 3})
+        select_once(data, cfg)
+        assert (len(factors), len(designs), len(built)) == (1, 1, ellipsoids)
 
 
 class TestRunRandom:

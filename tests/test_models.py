@@ -10,6 +10,7 @@ from mcselect.models import (
     Dataset,
     ParseError,
     fit,
+    fit_nested,
     generate_data,
     load_dataset_y,
     log_likelihood,
@@ -108,7 +109,7 @@ class TestFit:
         assert np.allclose(f.theta_hat, [2.0], atol=1e-14)
         assert np.allclose(f.fim, [[2.0]], atol=1e-14)
         assert math.isclose(f.max_loglik, -LOG_2PI - 1.0, rel_tol=1e-14)
-        assert f.order == 1 and f.dim == 1
+        assert f.dim == 1
 
     def test_recovers_exact_polynomial(self):
         phi = polynomial_regressors(50, 4)
@@ -194,6 +195,61 @@ class TestFit:
             fit(data, polynomial_regressors(30, k)).max_loglik for k in range(1, 7)
         ]
         assert all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
+
+
+class TestFitNested:
+    # N from 2 to 11 puts orders on both sides of N; 20..1000 covers the
+    # well-determined designs up to cond(J) ~ 1e8
+    N_VALUES = list(range(2, 12)) + list(range(20, 1001, 20))
+
+    @pytest.mark.parametrize("sigma2", [1.0, 0.37])
+    def test_matches_per_order_fit(self, sigma2):
+        for n in self.N_VALUES:
+            noise = np.random.default_rng(n).standard_normal(n)
+            y = polynomial_regressors(n, 4) @ np.array(TRUE_COEFFS) + noise
+            data = Dataset(y, sigma2)
+            phi = polynomial_regressors(n, 8)
+            nested = fit_nested(data, phi)
+            assert len(nested) == 8
+            missing = [f is None for f in nested]
+            assert missing == sorted(missing)  # the None entries are a suffix
+            for d in range(1, min(n, 8) + 1):
+                # d > n is rank-deficient: whether its factor succeeds is
+                # down to rounding, so only full-rank orders are compared
+                try:
+                    ref = fit(data, phi[:, :d])
+                except NotPositiveDefinite:
+                    ref = None
+                got = nested[d - 1]
+                assert (got is None) == (ref is None), (n, d)
+                if ref is None:
+                    continue
+                assert np.array_equal(got.fim, ref.fim), (n, d)
+                assert np.max(np.abs(got.chol - ref.chol)) <= 1e-12 * np.max(np.abs(ref.chol))
+                err = np.max(np.abs(got.theta_hat - ref.theta_hat))
+                assert err <= 1e-12 * np.max(np.abs(ref.theta_hat)), (n, d)
+
+    def test_singular_suffix(self):
+        # three points identify at most three coefficients
+        data = Dataset([0.0, 1.0, 2.0], 1.0)
+        nested = fit_nested(data, polynomial_regressors(3, 6))
+        assert [f is None for f in nested] == [False] * 3 + [True] * 3
+        assert nested[2].dim == 3
+
+    def test_chol_factors_information(self):
+        data = generate_data(random_stream(10, 0), 4, TRUE_COEFFS, 0.37, 60)
+        for f in fit_nested(data, polynomial_regressors(60, 6)):
+            assert np.allclose(f.chol @ f.chol.T, f.fim, rtol=1e-12, atol=0.0)
+            assert np.array_equal(f.chol, np.tril(f.chol))
+
+    def test_fit_is_last_entry(self):
+        data = generate_data(random_stream(11, 0), 3, (0.2, -0.1, 0.05), 1.0, 30)
+        phi = polynomial_regressors(30, 5)
+        last = fit_nested(data, phi)[-1]
+        f = fit(data, phi)
+        assert np.array_equal(f.theta_hat, last.theta_hat)
+        assert np.array_equal(f.chol, last.chol)
+        assert f.max_loglik == last.max_loglik
 
 
 class TestGenerateData:

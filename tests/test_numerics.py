@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
+import mcselect
 from mcselect.numerics import (
     DimensionMismatch,
     EmptyInput,
@@ -101,6 +105,23 @@ class TestLogDet:
         sign, ld = np.linalg.slogdet(m)
         assert sign == 1.0
         assert math.isclose(log_det(m), ld, rel_tol=1e-10, abs_tol=1e-10)
+
+
+def test_import_loads_no_scipy_special_or_stats():
+    # chi2_cdf is in-package so that importing the package and its CLI
+    # never pulls in scipy.special or scipy.stats
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcselect.__file__)))
+    code = (
+        "import sys, mcselect, mcselect.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.special', 'scipy.stats'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestChi2Cdf:

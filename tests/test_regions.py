@@ -30,6 +30,7 @@ class _Point:
     def __init__(self, center, metric):
         self.theta_hat = np.asarray(center, dtype=float)
         self.fim = np.asarray(metric, dtype=float)
+        self.chol = cholesky(self.fim)
         self.dim = self.theta_hat.size
 
 

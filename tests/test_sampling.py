@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from conftest import random_spd
-from mcselect.numerics import chi2_cdf
+from mcselect.numerics import chi2_cdf, cholesky
 from mcselect.regions import Box, bounding_box, build_ellipsoid, mahalanobis_sq
 from mcselect.sampling import (
     AcceptanceTooLow,
@@ -24,6 +24,7 @@ class _Point:
     def __init__(self, center, metric):
         self.theta_hat = np.asarray(center, dtype=float)
         self.fim = np.asarray(metric, dtype=float)
+        self.chol = cholesky(self.fim)
         self.dim = self.theta_hat.size
 
 

@@ -47,29 +47,6 @@ class TestSelectMap:
         with pytest.raises(EmptyCandidates):
             select_map([])
 
-    def test_model_prior_shifts_selection(self):
-        ests = [_est(-10.0), _est(-9.5)]
-        assert select_map(ests).selected_order == 2
-        # a strong enough prior on order 1 overturns the marginal gap
-        out = select_map(ests, log_priors=[0.0, -1.0])
-        assert out.selected_order == 1
-
-    def test_uniform_prior_is_no_op(self):
-        ests = [_est(-3.0), _est(-2.0), _est(-8.0)]
-        a = select_map(ests)
-        b = select_map(ests, log_priors=[math.log(1 / 3)] * 3)
-        assert a.selected_order == b.selected_order
-
-    def test_prior_length_checked(self):
-        with pytest.raises(ValueError):
-            select_map([_est(0.0)], log_priors=[0.0, 0.0])
-
-    def test_metadata(self):
-        out = select_map([_est(-1.0)], rule="ub", seed=7, samples=100)
-        assert out.rule == "ub"
-        assert out.seed == 7
-        assert out.samples == 100
-
     @given(
         # eighths: v + shift is exact, so ties survive the shift (a generic
         # float shift can round a strict gap of ~1 ulp into a tie)
