@@ -31,6 +31,7 @@ from .models import (
 from .regions import (
     Ellipsoid,
     Box,
+    BoxCollapsed,
     BoxPartition,
     PartitionTooLarge,
     default_mu,

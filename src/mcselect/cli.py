@@ -28,7 +28,7 @@ from .experiments import (
 )
 from .models import Dataset, ParseError, load_dataset_y
 from .numerics import NotPositiveDefinite
-from .regions import PartitionTooLarge
+from .regions import BoxCollapsed, PartitionTooLarge
 from .sampling import AcceptanceTooLow
 
 
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (NoViableCandidate, AcceptanceTooLow, NotPositiveDefinite) as err:
+    except (NoViableCandidate, AcceptanceTooLow, NotPositiveDefinite, BoxCollapsed) as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
 

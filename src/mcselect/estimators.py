@@ -95,7 +95,7 @@ def ue_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
 
 
 def _gaussian_log_density(e: Ellipsoid, points: np.ndarray) -> np.ndarray:
-    # log N(points; center, metric^-1), with (1/2) log det J = sum log diag L
+    # log N(points; center, J^-1), with (1/2) log det J = sum log diag L
     half_log_det = float(np.sum(np.log(np.diag(e.chol))))
     return half_log_det - 0.5 * e.dim * LOG_2PI - 0.5 * mahalanobis_sq(e, points)
 

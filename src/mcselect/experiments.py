@@ -181,6 +181,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if kind != "select":
         if not n_values or any(not isinstance(n, int) or n < 2 for n in n_values):
             raise ConfigError("n_values must be a non-empty list of integers >= 2")
+        if len(set(n_values)) != len(n_values):
+            raise ConfigError("n_values contains duplicates")
         if raw["replications"] < 1:
             raise ConfigError(f"replications must be >= 1, got {raw['replications']}")
 

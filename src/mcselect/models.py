@@ -7,9 +7,9 @@ and the maximized log-likelihood is available in closed form from the
 residual sum of squares.
 
 The candidates are nested: the order-d design is the first d columns of
-the max-order one, so its J and J's Cholesky factor are leading blocks of
-the max-order ones.  fit_nested factors J once for every order, and each
-FittedModel carries its block of the factor for the regions and estimators.
+the max-order one, so its J, J's Cholesky factor L and L^-1 are leading
+blocks of the max-order ones.  fit_nested factors J and inverts L once for
+every order, and each FittedModel carries its blocks of both.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
-from .numerics import DimensionMismatch, NotPositiveDefinite, cholesky, cholesky_solve
+from .numerics import DimensionMismatch, NotPositiveDefinite, cholesky
 from .sampling import standard_normal
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -95,13 +96,14 @@ class FittedModel:
     """Least-squares fit of one candidate order, with its information matrix.
 
     fim is the observed information J = (1/sigma^2) Phi' Phi, exactly
-    symmetric by construction, and chol its lower Cholesky factor;
-    max_loglik is the log-likelihood at theta_hat.
+    symmetric by construction, chol its lower Cholesky factor L and
+    chol_inv the inverse of L; max_loglik is the log-likelihood at theta_hat.
     """
 
     theta_hat: np.ndarray
     fim: np.ndarray
     chol: np.ndarray
+    chol_inv: np.ndarray
     max_loglik: float
     data: Dataset
 
@@ -128,9 +130,9 @@ class FittedModel:
 def fit_nested(data: Dataset, regressors: np.ndarray) -> list:
     """Least-squares fits of the first 1, 2, ... columns, from one factor of J.
 
-    Entry d-1 solves J theta = Phi' y / sigma^2 on the first d columns with
-    the leading d x d block of J's Cholesky factor.  Entries from the first
-    singular leading block of J on are None.
+    Entry d-1 solves J theta = Phi' y / sigma^2 on the first d columns as
+    L_d^-T L_d^-1 s, from the leading d x d blocks of J's factor L and of L^-1.
+    Entries from the first singular leading block of J on are None.
     """
     phi = np.asarray(regressors, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != data.n_points:
@@ -146,14 +148,19 @@ def fit_nested(data: Dataset, regressors: np.ndarray) -> list:
             break
         except NotPositiveDefinite:
             k -= 1
-    # einsum sums each column over the points in one fixed order, so the
-    # order-d fit is bit for bit the same whatever the number of columns
+    if k == 0:
+        return [None] * width
+    L_inv = dtrtri(L, lower=1)[0]  # info is 0: L's diagonal is positive
+    # einsum sums each column over the points in one fixed order, so a
+    # column's score has the same bits whatever the number of columns
     score = np.einsum("ij,i->j", phi, data.y) / data.noise_variance
+    w = np.einsum("ij,j->i", L_inv, score[:k])
     fits = []
     for d in range(1, k + 1):
-        theta_hat = cholesky_solve(L[:d, :d], score[:d])
+        inv = L_inv[:d, :d].copy()
+        theta_hat = np.einsum("ji,j->i", inv, w[:d])
         mll = log_likelihood(data, phi[:, :d], theta_hat)
-        fits.append(FittedModel(theta_hat, fim[:d, :d].copy(), L[:d, :d].copy(), mll, data))
+        fits.append(FittedModel(theta_hat, fim[:d, :d].copy(), L[:d, :d].copy(), inv, mll, data))
     return fits + [None] * (width - k)
 
 

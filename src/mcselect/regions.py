@@ -3,9 +3,9 @@
 The prior support for a fitted candidate is the ellipsoid
 (theta - theta_hat)' J (theta - theta_hat) <= mu around the estimate,
 with J the observed information.  The ellipsoid takes the fitted model's
-Cholesky factor of J rather than factoring J again.  The axis-aligned
-bounding box has halfwidth sqrt(mu * (J^-1)_kk) along axis k, and can be
-split into L equal segments per axis for stratified sampling.
+Cholesky factor L of J and L^-1 instead of factoring or solving again.  The
+axis-aligned bounding box has halfwidth sqrt(mu * (J^-1)_kk) along axis k,
+and can be split into equal segments per axis for stratified sampling.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .numerics import DimensionMismatch, unit_ball_volume
 
@@ -23,6 +22,14 @@ PARTITION_CAP = 10**6
 
 class PartitionTooLarge(ValueError):
     """Requested partition would exceed PARTITION_CAP sub-boxes."""
+
+
+class BoxCollapsed(ArithmeticError, ValueError):
+    """A box or sub-box is narrower than float64 resolution at its bounds.
+
+    A numerical failure like NotPositiveDefinite, and a ValueError like the
+    bound check of Box, which it runs ahead of.
+    """
 
 
 def default_mu(dim: int) -> float:
@@ -34,16 +41,16 @@ def default_mu(dim: int) -> float:
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Region (theta - center)' metric (theta - center) <= radius.
+    """Region (theta - center)' J (theta - center) <= radius.
 
-    chol is the lower Cholesky factor of metric, taken from the fitted
-    model; samplers, densities and volumes all reuse it.
+    chol is the lower Cholesky factor L of J and chol_inv its inverse, both
+    taken from the fitted model; samplers, densities and volumes reuse them.
     """
 
     center: np.ndarray
-    metric: np.ndarray
     radius: float
     chol: np.ndarray = field(repr=False)
+    chol_inv: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -56,9 +63,9 @@ def build_ellipsoid(model, mu: float) -> Ellipsoid:
         raise ValueError(f"mu must be positive and finite, got {mu}")
     return Ellipsoid(
         center=np.asarray(model.theta_hat, dtype=float),
-        metric=np.asarray(model.fim, dtype=float),
         radius=float(mu),
         chol=np.asarray(model.chol, dtype=float),
+        chol_inv=np.asarray(model.chol_inv, dtype=float),
     )
 
 
@@ -124,13 +131,15 @@ class Box:
 def bounding_box(e: Ellipsoid) -> Box:
     """Tightest axis-aligned box around the ellipsoid.
 
-    Along axis k the ellipsoid reaches center_k +- sqrt(mu (J^-1)_kk);
-    the inverse diagonal comes from the rows of inv(L).
+    Along axis k the ellipsoid reaches center_k +- sqrt(mu (J^-1)_kk), and
+    J^-1 = L^-T L^-1 makes (J^-1)_kk the sum of squares of column k of L^-1.
+    Raises BoxCollapsed when a halfwidth vanishes against the center.
     """
-    inv_l = solve_triangular(e.chol, np.eye(e.dim), lower=True)
-    inv_diag = np.sum(inv_l * inv_l, axis=0)
-    half = np.sqrt(e.radius * inv_diag)
-    return Box(e.center - half, e.center + half)
+    half = np.sqrt(e.radius * np.sum(e.chol_inv * e.chol_inv, axis=0))
+    lo, hi = e.center - half, e.center + half
+    if not np.all(hi > lo):
+        raise BoxCollapsed(f"order {e.dim}: the bounding box is below float64 resolution")
+    return Box(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -163,7 +172,7 @@ class BoxPartition:
         lo = self.box.lo * (1.0 - f0) + self.box.hi * f0
         hi = self.box.lo * (1.0 - f1) + self.box.hi * f1
         if not np.all(hi > lo):
-            raise ValueError("each upper bound must exceed its lower bound")
+            raise BoxCollapsed(f"order {self.box.dim}: a sub-box is below float64 resolution")
         return lo, hi
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .regions import Box, Ellipsoid, bounding_box, mahalanobis_sq
 
@@ -151,9 +150,9 @@ def sample_ellipsoid_direct(rng: np.random.Generator, e: Ellipsoid, m: int) -> S
 
     A point of the radius-sqrt(mu) ball is a direction z/|z| with
     z ~ N(0, I_d) times the radius sqrt(mu) U^(1/d); theta = center + L^-T v
-    maps the ball onto the ellipsoid, since J = L L'.  The stream advances
-    by exactly standard_normal(rng, (m, d)) and then rng.random(m): that is
-    2 ceil(m d / 2) + m uniforms, whatever the point values.
+    maps the ball onto the ellipsoid (J = L L', and L^-1 is chol_inv).  The
+    stream advances by exactly standard_normal(rng, (m, d)) and then
+    rng.random(m): 2 ceil(m d / 2) + m uniforms, whatever the point values.
     """
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
@@ -167,25 +166,20 @@ def sample_ellipsoid_direct(rng: np.random.Generator, e: Ellipsoid, m: int) -> S
     z[flat, 0] = 1.0
     norm[flat] = 1.0
     v = z * (math.sqrt(e.radius) * u ** (1.0 / d) / norm)[:, None]
-    points = e.center + solve_triangular(e.chol, v.T, lower=True, trans="T").T
+    points = e.center + np.einsum("ij,jk->ik", v, e.chol_inv)
     return SampleBatch(points=points, accepted_count=m, proposed_count=m)
 
 
 def _gaussian_proposer(e: Ellipsoid):
-    inv_l = solve_triangular(e.chol, np.eye(e.dim), lower=True)
-    center, d = e.center, e.dim
-
-    def propose(rng, k):
-        return center + standard_normal(rng, (k, d)) @ inv_l
-
-    return propose
+    center, inv_l, d = e.center, e.chol_inv, e.dim
+    return lambda rng, k: center + standard_normal(rng, (k, d)) @ inv_l
 
 
 def sample_gaussian(rng: np.random.Generator, e: Ellipsoid, m: int) -> SampleBatch:
-    """m draws from N(center, metric^-1), the Gaussian of the ellipsoid.
+    """m draws from N(center, J^-1), the Gaussian of the ellipsoid.
 
     For a fitted model's concentration ellipsoid that is N(theta_hat, J^-1);
-    the draw reuses the ellipsoid's factor L, as z L^-1 with z ~ N(0, I_d).
+    the draw is z L^-1 with z ~ N(0, I_d) and L^-1 the ellipsoid's chol_inv.
     """
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
@@ -199,6 +193,6 @@ def sample_truncated_gaussian(
     """N(theta_hat, J^-1) conditioned on the ellipsoid, by rejection.
 
     e must be the model's concentration ellipsoid: proposals come from its
-    center and factor, which are the model's theta_hat and J.
+    center and chol_inv, which are the model's theta_hat and L^-1.
     """
     return accept_reject(rng, _gaussian_proposer(e), _ellipsoid_indicator(e), m)

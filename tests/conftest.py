@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.linalg import solve_triangular
 
 from mcselect.models import Dataset, fit, generate_data, polynomial_regressors
 from mcselect.numerics import cholesky
@@ -77,6 +78,7 @@ class ConstantLikelihood:
         self.theta_hat = np.zeros(dim)
         self.fim = np.eye(dim) if fim is None else np.asarray(fim, dtype=float)
         self.chol = cholesky(self.fim)
+        self.chol_inv = solve_triangular(self.chol, np.eye(len(self.chol)), lower=True)
 
     def log_likelihood_batch(self, thetas):
         t = np.asarray(thetas)

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from conftest import TRUE_COEFFS, ConstantLikelihood, trapezoid_log_integral
 from mcselect.cli import main as cli_main
@@ -42,6 +43,7 @@ class _Point:
         self.theta_hat = np.asarray(center, dtype=float)
         self.fim = np.asarray(metric, dtype=float)
         self.chol = cholesky(self.fim)
+        self.chol_inv = solve_triangular(self.chol, np.eye(len(self.chol)), lower=True)
         self.dim = self.theta_hat.size
 
 

@@ -137,6 +137,34 @@ class TestSelectCommand:
         assert saved["config"]["seed"] is not None
 
 
+class TestCollapsedBox:
+    """On this N = 100 order-4 data, sigma2 = 1e-40 puts every box halfwidth
+    below float64 resolution at theta_hat, and 1e-28 still leaves the order-2
+    box wide enough but not its three-segment strata."""
+
+    def _run(self, tmp_path, data_csv, rules, sigma2):
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({
+            "experiment": "select", "sigma2": sigma2, "max_order": 6,
+            "rules": rules, "samples": 1000, "seed": 2,
+        }))
+        return main(["select", str(data_csv), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("rules", [["ub"], ["ub-strat"]], ids=["ub", "ub-strat"])
+    def test_box_rules_exit_4(self, tmp_path, data_csv, capsys, rules):
+        assert self._run(tmp_path, data_csv, rules, 1e-40) == 4
+        assert "order 1: the bounding box" in capsys.readouterr().err
+
+    def test_collapsed_strata_exit_4(self, tmp_path, data_csv, capsys):
+        assert self._run(tmp_path, data_csv, ["ub-strat"], 1e-28) == 4
+        assert "order 2: a sub-box" in capsys.readouterr().err
+
+    def test_rules_without_a_box_exit_0(self, tmp_path, data_csv, capsys):
+        rules = ["aic", "bic", "ue", "ueg", "ge"]
+        assert self._run(tmp_path, data_csv, rules, 1e-40) == 0, capsys.readouterr().err
+
+
 class TestHighOrderUniformEllipsoid:
     """Order 8 with ue runs to completion.  Box rejection accepts about 1
     proposal in 66 000 there, under the acceptance floor, so a ue that

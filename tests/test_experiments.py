@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 
 from mcselect import experiments, models
 from mcselect.experiments import (
@@ -83,6 +86,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="duplicate"):
             fixed_config(rules=["aic", "aic"])
 
+    def test_duplicate_n_values(self):
+        # both cells would tally into one N and report twice the replications
+        with pytest.raises(ConfigError, match="n_values contains duplicates"):
+            fixed_config(n_values=[40, 40], replications=5)
+
     def test_bad_types(self):
         with pytest.raises(ConfigError, match="samples"):
             fixed_config(samples="many")
@@ -151,8 +159,12 @@ class TestRunFixed:
             assert sum(a.counts[rule][40][2]) == 10
             assert a.totals[rule][40][2] == 10
 
-    def test_parallel_matches_serial(self):
-        cfg = fixed_config(replications=8)
+    @pytest.mark.parametrize("rules, samples", [
+        (["aic", "bic", "ub"], 200),
+        (["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"], 60),
+    ], ids=["three-rules", "seven-rules"])
+    def test_parallel_matches_serial(self, rules, samples):
+        cfg = fixed_config(replications=8, rules=rules, samples=samples)
         serial = run_experiment(cfg, jobs=1)
         parallel = run_experiment(cfg, jobs=3)
         assert serial.counts == parallel.counts
@@ -278,10 +290,11 @@ class TestWorkerCap:
 
 
 class TestSharedFactor:
-    """One factorization per dataset, and regions only for rules that use them."""
+    """One factorization and one triangular inverse per dataset, no triangular
+    solve, and regions only for rules that use them."""
 
-    def _count(self, monkeypatch, module, name):
-        calls = []
+    def _count(self, monkeypatch, module, name, calls=None):
+        calls = [] if calls is None else calls
         orig = getattr(module, name)
 
         def counted(*args, **kwargs):
@@ -300,11 +313,21 @@ class TestSharedFactor:
         factors = self._count(monkeypatch, models, "cholesky")
         designs = self._count(monkeypatch, experiments, "polynomial_regressors")
         built = self._count(monkeypatch, experiments, "build_ellipsoid")
+        # the scipy attribute and every mcselect binding of each triangular
+        # kernel, so a module that imports one by name is counted too
+        kernels = {}
+        for home, name in ((scipy.linalg, "solve_triangular"), (scipy.linalg.lapack, "dtrtri")):
+            calls = kernels[name] = []
+            bound = [m for key, m in sorted(sys.modules.items())
+                     if key.startswith("mcselect") and hasattr(m, name)]
+            for module in [home] + bound:
+                self._count(monkeypatch, module, name, calls)
         data = Dataset(np.sin(np.arange(100.0)), 1.0)
         cfg = config_from_dict({"experiment": "select", "sigma2": 1.0, "max_order": 6,
                                 "rules": rules, "samples": 50, "seed": 3})
         select_once(data, cfg)
         assert (len(factors), len(designs), len(built)) == (1, 1, ellipsoids)
+        assert (len(kernels["solve_triangular"]), len(kernels["dtrtri"])) == (0, 1)
 
 
 class TestRunRandom:

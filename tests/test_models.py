@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtrtri
 
 from conftest import TRUE_COEFFS, fd_hessian
 from mcselect.models import (
@@ -226,6 +227,14 @@ class TestFitNested:
                     continue
                 assert np.array_equal(got.fim, ref.fim), (n, d)
                 assert np.max(np.abs(got.chol - ref.chol)) <= 1e-12 * np.max(np.abs(ref.chol))
+                # the leading block of the max-order inverse inverts this
+                # order's own factor, to the bit
+                assert np.array_equal(got.chol_inv, dtrtri(got.chol, lower=1)[0]), (n, d)
+                # columns span powers of 5, so the residual is bounded entrywise
+                # against |L| |L^-1|, the standard bound for a triangular inverse
+                resid = np.abs(got.chol @ got.chol_inv - np.eye(d))
+                scale = np.abs(got.chol) @ np.abs(got.chol_inv)
+                assert np.all(resid <= 1e-12 * scale), (n, d)
                 err = np.max(np.abs(got.theta_hat - ref.theta_hat))
                 assert err <= 1e-12 * np.max(np.abs(ref.theta_hat)), (n, d)
 
@@ -235,6 +244,8 @@ class TestFitNested:
         nested = fit_nested(data, polynomial_regressors(3, 6))
         assert [f is None for f in nested] == [False] * 3 + [True] * 3
         assert nested[2].dim == 3
+        # a zero first column leaves no block to factor
+        assert fit_nested(data, np.zeros((3, 2))) == [None, None]
 
     def test_chol_factors_information(self):
         data = generate_data(random_stream(10, 0), 4, TRUE_COEFFS, 0.37, 60)
@@ -249,6 +260,7 @@ class TestFitNested:
         f = fit(data, phi)
         assert np.array_equal(f.theta_hat, last.theta_hat)
         assert np.array_equal(f.chol, last.chol)
+        assert np.array_equal(f.chol_inv, last.chol_inv)
         assert f.max_loglik == last.max_loglik
 
 

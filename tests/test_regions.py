@@ -12,6 +12,7 @@ from mcselect.numerics import DimensionMismatch, NotPositiveDefinite, cholesky
 from mcselect.regions import (
     PARTITION_CAP,
     Box,
+    BoxCollapsed,
     PartitionTooLarge,
     bounding_box,
     build_ellipsoid,
@@ -31,6 +32,7 @@ class _Point:
         self.theta_hat = np.asarray(center, dtype=float)
         self.fim = np.asarray(metric, dtype=float)
         self.chol = cholesky(self.fim)
+        self.chol_inv = solve_triangular(self.chol, np.eye(len(self.chol)), lower=True)
         self.dim = self.theta_hat.size
 
 
@@ -112,6 +114,12 @@ class TestBoundingBox:
         e = build_ellipsoid(_Point([0.0, 0.0], np.diag([4.0, 1.0])), 4.0)
         b = bounding_box(e)
         assert np.allclose(b.widths, [2.0, 4.0], rtol=1e-12)
+
+    def test_collapsed_box_names_the_order(self):
+        # halfwidth sqrt(1e-40) = 1e-20 vanishes against a center of 1
+        e = build_ellipsoid(_Point([0.0, 1.0], np.diag([1.0, 1e40])), 1.0)
+        with pytest.raises(BoxCollapsed, match="order 2"):
+            bounding_box(e)
 
     def test_correlated_hand_case(self):
         # J = [[2,1],[1,2]], mu = 3: (J^-1)_kk = 2/3, halfwidth sqrt(2)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from conftest import random_spd
 from mcselect.numerics import chi2_cdf, cholesky
@@ -25,6 +26,7 @@ class _Point:
         self.theta_hat = np.asarray(center, dtype=float)
         self.fim = np.asarray(metric, dtype=float)
         self.chol = cholesky(self.fim)
+        self.chol_inv = solve_triangular(self.chol, np.eye(len(self.chol)), lower=True)
         self.dim = self.theta_hat.size
 
 
@@ -161,13 +163,14 @@ class TestUniformBox:
 
 class TestUniformEllipsoid:
     def test_all_points_inside(self):
-        e = build_ellipsoid(_Point([1.0, -2.0], random_spd(np.random.default_rng(0), 2)), 5.0)
+        model = _Point([1.0, -2.0], random_spd(np.random.default_rng(0), 2))
+        e = build_ellipsoid(model, 5.0)
         batch = sample_uniform_ellipsoid(random_stream(15, 0), e, 4_000)
         assert batch.points.shape == (4_000, 2)
         assert np.all(mahalanobis_sq(e, batch.points) <= e.radius)
         # direct quadratic form as an independent membership check
         dev = batch.points - e.center
-        q = np.einsum("ij,jk,ik->i", dev, e.metric, dev)
+        q = np.einsum("ij,jk,ik->i", dev, model.fim, dev)
         assert np.all(q <= e.radius * (1.0 + 1e-9))
 
     def test_acceptance_rate_disk(self):
@@ -219,8 +222,12 @@ class _ZeroRadiusStream:
 
 
 class TestEllipsoidDirect:
+    @staticmethod
+    def _metric(d, seed=0):
+        return random_spd(np.random.default_rng(seed), d, jitter=1.0)
+
     def _ellipsoid(self, d, seed=0):
-        J = random_spd(np.random.default_rng(seed), d, jitter=1.0)
+        J = self._metric(d, seed)
         return build_ellipsoid(_Point(np.linspace(-1.0, 2.0, d), J), 6.0 + 2.0 * d)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
@@ -231,7 +238,7 @@ class TestEllipsoidDirect:
         assert batch.accepted_count == batch.proposed_count == 20_000
         assert np.all(mahalanobis_sq(e, batch.points) <= e.radius)
         dev = batch.points - e.center
-        q = np.einsum("ij,jk,ik->i", dev, e.metric, dev)
+        q = np.einsum("ij,jk,ik->i", dev, self._metric(d, seed=d), dev)
         assert np.all(q <= e.radius * (1.0 + 1e-9))
 
     @pytest.mark.parametrize("d", [1, 3, 6, 8])
@@ -248,7 +255,7 @@ class TestEllipsoidDirect:
         e = self._ellipsoid(d, seed=20 + d)
         m = 60_000
         batch = sample_ellipsoid_direct(random_stream(29, d), e, m)
-        cov_want = e.radius / (d + 2.0) * np.linalg.inv(e.metric)
+        cov_want = e.radius / (d + 2.0) * np.linalg.inv(self._metric(d, seed=20 + d))
         axis_sd = np.sqrt(np.diag(cov_want))
         mean_err = np.abs(np.mean(batch.points, axis=0) - e.center)
         assert np.all(mean_err < 5.0 * axis_sd / math.sqrt(m))
