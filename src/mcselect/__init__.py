@@ -18,9 +18,12 @@ from .numerics import (
 )
 from .models import (
     Dataset,
+    Design,
     FittedModel,
     ParseError,
     polynomial_regressors,
+    build_design,
+    polynomial_design,
     log_likelihood,
     fit,
     fit_nested,

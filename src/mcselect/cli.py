@@ -102,7 +102,10 @@ def _cmd_select(args) -> int:
         entry = {"selected_order": out.selected_order, "scores": out.scores}
         entry.update(out.extra)
         results[rule] = entry
-        print(f"{rule}: order {out.selected_order}")
+        if "excluded" in out.extra:
+            print(f"{rule}: excluded, {out.extra['excluded']}")
+        else:
+            print(f"{rule}: order {out.selected_order}")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "selection.json")
     _write_json(path, {

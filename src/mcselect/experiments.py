@@ -33,9 +33,10 @@ from .estimators import (
     ue_estimate,
     ueg_estimate,
 )
-from .models import Dataset, fit_nested, generate_data, polynomial_regressors
+from .models import Dataset, fit_nested, generate_data, polynomial_design
 from .regions import (
     PARTITION_CAP,
+    BoxCollapsed,
     PartitionTooLarge,
     bounding_box,
     build_ellipsoid,
@@ -45,23 +46,23 @@ from .regions import (
 from .sampling import AcceptanceTooLow, random_stream
 from .selection import SelectionOutcome, select_criterion, select_map
 
-# rule -> scorer(rng, fit, ellipsoid, box, config).  Criterion rules return a
+# rule -> scorer(rng, fit, ellipsoid, config).  Criterion rules return a
 # CriterionScore and ignore the stream; the rest return a MarginalEstimate.
 # Estimators are looked up by name at call time, so a wrapper patched onto
-# this module (a tracer, a test double) sees every call.
+# this module (a tracer, a test double) sees every call.  Box rules build
+# their box inside the rule, so a collapsed box excludes only them.
 RULES = {
-    "aic": lambda rng, f, e, box, c: aic(f),
-    "bic": lambda rng, f, e, box, c: bic(f, f.data.n_points),
-    "ue": lambda rng, f, e, box, c: ue_estimate(rng, f, e, c.samples),
-    "ueg": lambda rng, f, e, box, c: ueg_estimate(rng, f, e, c.samples),
-    "ge": lambda rng, f, e, box, c: ge_estimate(rng, f, e, c.samples),
-    "ub": lambda rng, f, e, box, c: ub_estimate(rng, f, box, c.samples),
-    "ub-strat": lambda rng, f, e, box, c: ub_stratified_estimate(
-        rng, f, partition(box, c.strat_segments()), c.samples
+    "aic": lambda rng, f, e, c: aic(f),
+    "bic": lambda rng, f, e, c: bic(f, f.data.n_points),
+    "ue": lambda rng, f, e, c: ue_estimate(rng, f, e, c.samples),
+    "ueg": lambda rng, f, e, c: ueg_estimate(rng, f, e, c.samples),
+    "ge": lambda rng, f, e, c: ge_estimate(rng, f, e, c.samples),
+    "ub": lambda rng, f, e, c: ub_estimate(rng, f, bounding_box(e), c.samples),
+    "ub-strat": lambda rng, f, e, c: ub_stratified_estimate(
+        rng, f, partition(bounding_box(e), c.strat_segments()), c.samples
     ),
 }
 CRITERION_RULES = frozenset({"aic", "bic"})
-_BOX_RULES = frozenset({"ub", "ub-strat"})
 VALID_EXPERIMENTS = ("fixed", "random", "select")
 
 # streams >= this index feed coefficient draws; replication streams count
@@ -74,7 +75,8 @@ class ConfigError(ValueError):
 
 
 class NoViableCandidate(RuntimeError):
-    """Every candidate order failed to fit, so nothing can be selected."""
+    """Nothing can be selected: no candidate order fits, or every rule
+    was excluded."""
 
 
 @dataclass(frozen=True)
@@ -269,32 +271,38 @@ def _check_partition_feasible(config: ExperimentConfig) -> None:
 def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
     """Fit every order and apply every configured rule to one dataset.
 
-    Returns rule -> SelectionOutcome.  All orders are fitted from one
-    factor of the max-order information matrix; orders from its first
-    singular leading block on are excluded from every rule (None scores),
-    and if no order fits, NoViableCandidate is raised.  Monte-Carlo rules consume
-    the stream in config order, orders ascending.
+    Returns rule -> SelectionOutcome.  All orders are fitted from the
+    cell's cached design; orders past its full-rank prefix are excluded
+    from every rule (None scores), and if no order fits, NoViableCandidate
+    is raised.  A rule whose box collapses is excluded as a whole: its
+    selected_order is None and extra["excluded"] gives the reason.
+    Monte-Carlo rules consume the stream in config order, orders ascending.
     """
-    fits = fit_nested(data, polynomial_regressors(data.n_points, config.max_order))
+    fits = fit_nested(data, polynomial_design(data.n_points, config.max_order, data.noise_variance))
     if fits[0] is None:
         raise NoViableCandidate(
             f"all candidate orders 1..{config.max_order} were singular"
         )
 
-    # one ellipsoid and one box per fitted order, each only if a rule needs it
+    # one ellipsoid per fitted order, only if a rule needs it
     need_region = not CRITERION_RULES.issuperset(config.rules)
-    need_box = not _BOX_RULES.isdisjoint(config.rules)
     candidates = []
     for o, f in enumerate(fits, start=1):
         if f is None:
             candidates.append(None)
             continue
         e = build_ellipsoid(f, config.mu_for(o)) if need_region else None
-        candidates.append((f, e, bounding_box(e) if need_box else None))
+        candidates.append((f, e))
     outcomes: dict[str, SelectionOutcome] = {}
     for rule in config.rules:
         scorer = RULES[rule]
-        scored = [None if c is None else scorer(rng, *c, config) for c in candidates]
+        try:
+            scored = [None if c is None else scorer(rng, *c, config) for c in candidates]
+        except BoxCollapsed as err:
+            outcomes[rule] = SelectionOutcome(
+                rule, None, [None] * len(candidates), {"excluded": str(err)}
+            )
+            continue
         if rule in CRITERION_RULES:
             outcomes[rule] = select_criterion(scored, rule=rule)
             continue
@@ -309,19 +317,19 @@ def _replication_task(args) -> dict:
     (config, stream_index, n_points, true_order, coeffs) = args
     rng = random_stream(config.seed, stream_index)
     data = generate_data(rng, true_order, coeffs, config.sigma2, n_points)
+    rank = polynomial_design(n_points, config.max_order, config.sigma2).rank
+    excluded = list(range(rank + 1, config.max_order + 1))
     try:
         outcomes = score_candidates(data, config, rng)
     except NoViableCandidate:
         return {
             "selected": {rule: None for rule in config.rules},
             "se": {},
-            "excluded": list(range(1, config.max_order + 1)),
+            "excluded": excluded,
         }
-    first = next(iter(outcomes.values()))
-    excluded = [i + 1 for i, s in enumerate(first.scores) if s is None]
     se: dict[str, tuple] = {}
     for rule, out in outcomes.items():
-        if rule not in CRITERION_RULES:
+        if "mc_std_error_log" in out.extra:
             vals = [v for v in out.extra["mc_std_error_log"] if v is not None]
             se[rule] = (float(np.sum(vals)), len(vals))
     return {
@@ -489,7 +497,12 @@ def select_once(data: Dataset, config: ExperimentConfig) -> dict:
         raise ConfigError("config seed must be resolved before running")
     _check_partition_feasible(config)
     rng = random_stream(config.seed, 0)
-    return score_candidates(data, config, rng)
+    outcomes = score_candidates(data, config, rng)
+    if all("excluded" in out.extra for out in outcomes.values()):
+        raise NoViableCandidate("every rule was excluded: " + "; ".join(
+            f"{rule}: {out.extra['excluded']}" for rule, out in outcomes.items()
+        ))
+    return outcomes
 
 
 def run_diagnostics(config: ExperimentConfig) -> dict:
@@ -500,8 +513,8 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     samplers next to the chi-square mass rho of the ellipsoid.  A sampler
     whose acceptance falls below the floor gets null acceptance and
     proposals, and its AcceptanceTooLow message under below_floor.  Coverage
-    refits the true order on fresh replications and counts how often the
-    concentration ellipsoid contains the true coefficients.
+    refits the true order from the same design on fresh replications and
+    counts how often the concentration ellipsoid contains the truth.
     """
     from .numerics import chi2_cdf
     from .regions import contains
@@ -516,7 +529,8 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     data = generate_data(
         rng, config.true_order, config.true_coefficients, config.sigma2, n_points
     )
-    fits = fit_nested(data, polynomial_regressors(n_points, config.max_order))
+    design = polynomial_design(n_points, config.max_order, config.sigma2)
+    fits = fit_nested(data, design)
     per_order = []
     for order, f in enumerate(fits, start=1):
         if f is None:
@@ -542,14 +556,13 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         per_order.append(row)
 
     truth = np.asarray(config.true_coefficients, dtype=float)
-    phi = polynomial_regressors(n_points, config.true_order)
     hits = valid = 0
     for r in range(config.replications):
         rep_rng = random_stream(config.seed, 1 + r)
         rep_data = generate_data(
             rep_rng, config.true_order, truth, config.sigma2, n_points
         )
-        f = fit_nested(rep_data, phi)[-1]
+        f = fit_nested(rep_data, design)[config.true_order - 1]
         if f is None:
             continue
         e = build_ellipsoid(f, config.mu_for(config.true_order))

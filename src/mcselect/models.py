@@ -7,24 +7,32 @@ and the maximized log-likelihood is available in closed form from the
 residual sum of squares.
 
 The candidates are nested: the order-d design is the first d columns of
-the max-order one, so its J, J's Cholesky factor L and L^-1 are leading
-blocks of the max-order ones.  fit_nested factors J and inverts L once for
-every order, and each FittedModel carries its blocks of both.
+the max-order one.  A Design orthonormalises those columns once per
+(N, max_order, sigma^2) by column-sequential modified Gram-Schmidt, which
+gives J's Cholesky factor L = R'/sigma and, by one triangular inverse,
+L^-1.  Column j of the basis reads only columns <= j, so every order's
+blocks have the same bits whatever max_order is.  fit_nested then only
+projects y through the basis, and each FittedModel views its blocks.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .numerics import DimensionMismatch, NotPositiveDefinite, cholesky
+from .numerics import DimensionMismatch, NotPositiveDefinite
 from .sampling import standard_normal
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# rank rule: a design's full-rank prefix ends at the first column whose
+# residual norm after Gram-Schmidt is at most this fraction of its norm
+RANK_RTOL = 1e-10
 
 
 class ParseError(ValueError):
@@ -68,7 +76,12 @@ def polynomial_regressors(n_points: int, order: int) -> np.ndarray:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     base = -5.0 + 10.0 * np.arange(n_points) / (n_points - 1)
-    return np.vander(base, order, increasing=True)
+    # column by column, the products np.vander makes, in C order
+    phi = np.empty((n_points, order))
+    phi[:, 0] = 1.0
+    for j in range(1, order):
+        np.multiply(phi[:, j - 1], base, out=phi[:, j])
+    return phi
 
 
 def log_likelihood(data: Dataset, regressors: np.ndarray, theta: np.ndarray) -> float:
@@ -95,13 +108,13 @@ def log_likelihood(data: Dataset, regressors: np.ndarray, theta: np.ndarray) -> 
 class FittedModel:
     """Least-squares fit of one candidate order, with its information matrix.
 
-    fim is the observed information J = (1/sigma^2) Phi' Phi, exactly
-    symmetric by construction, chol its lower Cholesky factor L and
-    chol_inv the inverse of L; max_loglik is the log-likelihood at theta_hat.
+    chol is the lower Cholesky factor L of the observed information
+    J = (1/sigma^2) Phi' Phi and chol_inv the inverse of L, both read-only
+    views of the design's blocks; max_loglik is the log-likelihood at
+    theta_hat.
     """
 
     theta_hat: np.ndarray
-    fim: np.ndarray
     chol: np.ndarray
     chol_inv: np.ndarray
     max_loglik: float
@@ -110,6 +123,11 @@ class FittedModel:
     @property
     def dim(self) -> int:
         return self.theta_hat.size
+
+    @property
+    def fim(self) -> np.ndarray:
+        """J = L L', exactly symmetric: J_ij and J_ji sum the same products."""
+        return np.einsum("ik,jk->ij", self.chol, self.chol)
 
     def log_likelihood_batch(self, thetas: np.ndarray) -> np.ndarray:
         """Log-likelihood at each row of thetas, shape (m, dim) -> (m,).
@@ -127,49 +145,94 @@ class FittedModel:
         return self.max_loglik - 0.5 * np.einsum("ij,ij->i", z, z)
 
 
-def fit_nested(data: Dataset, regressors: np.ndarray) -> list:
-    """Least-squares fits of the first 1, 2, ... columns, from one factor of J.
+@dataclass(frozen=True)
+class Design:
+    """Phi's full-rank prefix as basis R (basis orthonormal, column-major),
+    with J's factor chol = R'/sigma and its inverse; all read-only.  width
+    counts Phi's columns, fitted or not."""
 
-    Entry d-1 solves J theta = Phi' y / sigma^2 on the first d columns as
-    L_d^-T L_d^-1 s, from the leading d x d blocks of J's factor L and of L^-1.
-    Entries from the first singular leading block of J on are None.
-    """
+    basis: np.ndarray
+    chol: np.ndarray
+    chol_inv: np.ndarray
+    sigma2: float
+    width: int
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+
+def build_design(regressors: np.ndarray, sigma2: float) -> Design:
+    """Column-sequential modified Gram-Schmidt on Phi, then one dtrtri.
+    einsum on a contiguous column sums in one fixed order, so column j's
+    bits depend only on columns <= j."""
     phi = np.asarray(regressors, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != data.n_points:
-        raise DimensionMismatch(
-            f"regressors shape {phi.shape} does not match {data.n_points} data points"
-        )
-    gram = phi.T @ phi
-    fim = 0.5 * (gram + gram.T) / data.noise_variance
-    width = k = phi.shape[1]
-    while k > 0:
-        try:
-            L = cholesky(fim[:k, :k])
+    if phi.ndim != 2:
+        raise DimensionMismatch(f"regressors must be 2-D, got shape {phi.shape}")
+    n, width = phi.shape
+    basis = np.empty((n, width), order="F")
+    r = np.zeros((width, width))
+    rank = 0
+    while rank < width:
+        v = phi[:, rank].copy()
+        norm = math.sqrt(np.einsum("i,i->", v, v))
+        for i in range(rank):
+            r[i, rank] = np.einsum("i,i->", basis[:, i], v)
+            v -= r[i, rank] * basis[:, i]
+        r[rank, rank] = math.sqrt(np.einsum("i,i->", v, v))
+        if not r[rank, rank] > RANK_RTOL * norm:
             break
-        except NotPositiveDefinite:
-            k -= 1
-    if k == 0:
-        return [None] * width
-    L_inv = dtrtri(L, lower=1)[0]  # info is 0: L's diagonal is positive
-    # einsum sums each column over the points in one fixed order, so a
-    # column's score has the same bits whatever the number of columns
-    score = np.einsum("ij,i->j", phi, data.y) / data.noise_variance
-    w = np.einsum("ij,j->i", L_inv, score[:k])
+        basis[:, rank] = v / r[rank, rank]
+        rank += 1
+    chol = r[:rank, :rank].T / math.sqrt(sigma2)
+    # info is 0: chol's diagonal is positive
+    chol_inv = dtrtri(chol, lower=1)[0] if rank else chol.copy()
+    arrays = (basis[:, :rank], np.ascontiguousarray(chol), np.ascontiguousarray(chol_inv))
+    for a in arrays:
+        a.flags.writeable = False
+    return Design(*arrays, float(sigma2), width)
+
+
+@functools.lru_cache(maxsize=1)
+def polynomial_design(n_points: int, max_order: int, sigma2: float) -> Design:
+    """The design of one cell, cached: experiment tasks come grouped by N,
+    so one slot serves a run while holding one design in memory."""
+    return build_design(polynomial_regressors(n_points, max_order), sigma2)
+
+
+def fit_nested(data: Dataset, design: Design) -> list:
+    """Least-squares fits of the first 1, 2, ... columns of the design.
+
+    Projecting y through the basis one column at a time (augmented MGS)
+    leaves c = basis' y and each order's residual, so theta_hat_d =
+    L_d^-T c_d / sigma and max_loglik come out of one pass.  Entries past
+    the design's full-rank prefix are None.
+    """
+    if (design.basis.shape[0], design.sigma2) != (data.n_points, data.noise_variance):
+        raise DimensionMismatch("the design's N or sigma2 does not match the data")
+    s2 = data.noise_variance
+    peak = -0.5 * data.n_points * (LOG_2PI + math.log(s2))
+    resid = data.y.copy()
+    w = np.empty(design.rank)
     fits = []
-    for d in range(1, k + 1):
-        inv = L_inv[:d, :d].copy()
+    for d in range(1, design.rank + 1):
+        q = design.basis[:, d - 1]
+        c = np.einsum("i,i->", q, resid)
+        resid -= c * q
+        w[d - 1] = c / math.sqrt(s2)
+        inv = design.chol_inv[:d, :d]
         theta_hat = np.einsum("ji,j->i", inv, w[:d])
-        mll = log_likelihood(data, phi[:, :d], theta_hat)
-        fits.append(FittedModel(theta_hat, fim[:d, :d].copy(), L[:d, :d].copy(), inv, mll, data))
-    return fits + [None] * (width - k)
+        mll = float(peak - 0.5 * np.einsum("i,i->", resid, resid) / s2)
+        fits.append(FittedModel(theta_hat, design.chol[:d, :d], inv, mll, data))
+    return fits + [None] * (design.width - design.rank)
 
 
 def fit(data: Dataset, regressors: np.ndarray) -> FittedModel:
-    """Least squares via the normal equations; raises NotPositiveDefinite
-    when the Gram matrix is singular (e.g. more columns than points)."""
-    model = fit_nested(data, regressors)[-1]
+    """Least squares on all columns; raises NotPositiveDefinite when the
+    regressors are rank-deficient (e.g. more columns than points)."""
+    model = fit_nested(data, build_design(regressors, data.noise_variance))[-1]
     if model is None:
-        raise NotPositiveDefinite("the Gram matrix of the regressors is singular")
+        raise NotPositiveDefinite("the regressors are rank-deficient")
     return model
 
 
@@ -209,6 +272,8 @@ def load_dataset_y(path) -> np.ndarray:
                 ys.append(float(row[1]))
             except ValueError:
                 raise ParseError(f"bad number {row[1]!r}", lineno) from None
+            if not math.isfinite(ys[-1]):
+                raise ParseError(f"non-finite number {row[1]!r}", lineno)
     if len(ys) < 2:
         raise ParseError("fewer than 2 data rows", max(len(ys) + 1, 1))
     return np.asarray(ys)

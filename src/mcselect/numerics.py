@@ -3,7 +3,8 @@
 Everything on the likelihood scale crosses module boundaries as a natural
 log; log-zero is represented by ``-inf``.  The Cholesky factorization is
 LAPACK's (through scipy.linalg) behind a shape, finiteness and symmetry
-check, and doubles as the positive-definiteness test.  The chi-square CDF
+check.  The fit does not use it: models.build_design gets J's factor from
+Gram-Schmidt and decides rank by its own rule.  The chi-square CDF
 stays in-package: a lower series below the mode and, above it, a finite
 sum of positive terms that exists because the degrees of freedom are
 integers.  Importing scipy.special for it would cost more start-up time
@@ -51,8 +52,7 @@ def _as_square(m) -> np.ndarray:
 def cholesky(m) -> np.ndarray:
     """Lower-triangular L with L @ L.T == m.
 
-    Raises NotPositiveDefinite when LAPACK meets a pivot <= 0, which is
-    the only positive-definiteness check the package uses.
+    Raises NotPositiveDefinite when LAPACK meets a pivot <= 0.
     """
     a = _as_square(m)
     try:

@@ -22,11 +22,11 @@ class SelectionOutcome:
 
     scores[i] belongs to order i+1 and is None for excluded candidates;
     for MAP rules it is the log marginal, for criterion rules the
-    penalized score.
+    penalized score.  selected_order is None when the rule was excluded.
     """
 
     rule: str
-    selected_order: int
+    selected_order: int | None
     scores: list
     extra: dict = field(default_factory=dict)
 

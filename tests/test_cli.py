@@ -98,6 +98,15 @@ class TestSelectCommand:
         assert code == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "1e999"])
+    def test_non_finite_data_exit_3(self, tmp_path, select_config, capsys, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,y\n1,2.0\n2,{value}\n3,1.0\n")
+        code = main(["select", str(bad), "--config", str(select_config)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and value in err
+
     def test_missing_data_exit_3(self, tmp_path, select_config, capsys):
         code = main(["select", str(tmp_path / "none.csv"),
                      "--config", str(select_config)])
@@ -163,6 +172,17 @@ class TestCollapsedBox:
     def test_rules_without_a_box_exit_0(self, tmp_path, data_csv, capsys):
         rules = ["aic", "bic", "ue", "ueg", "ge"]
         assert self._run(tmp_path, data_csv, rules, 1e-40) == 0, capsys.readouterr().err
+
+    def test_collapsed_box_excludes_only_its_rule(self, tmp_path, data_csv, capsys):
+        assert self._run(tmp_path, data_csv, ["aic", "bic", "ub"], 1e-40) == 0, \
+            capsys.readouterr().err
+        results = json.loads((tmp_path / "o" / "selection.json").read_text())["results"]
+        for rule in ("aic", "bic"):
+            assert results[rule]["selected_order"] is not None
+            assert "excluded" not in results[rule]
+        assert results["ub"]["selected_order"] is None
+        assert results["ub"]["scores"] == [None] * 6
+        assert "order 1: the bounding box" in results["ub"]["excluded"]
 
 
 class TestHighOrderUniformEllipsoid:

@@ -221,6 +221,15 @@ class TestRunFixed:
             assert sum(report.counts[rule][3][2]) == 6
             assert report.counts[rule][3][2][3] == 0  # order 4 never selected
 
+    def test_collapsed_box_fails_only_its_rule(self):
+        # at sigma2 1e-40 the order-1 box is below float64 resolution at
+        # theta_hat, so ub is excluded in every replication; bic needs no box
+        report = run_experiment(fixed_config(sigma2=1e-40, rules=["bic", "ub"], replications=5))
+        assert report.failures == {"bic": 0, "ub": 5}
+        assert report.excluded == {}
+        assert sum(report.counts["bic"][40][2]) == 5
+        assert report.mean_mc_std_error_log["ub"] is None
+
     def test_unresolved_seed_rejected(self):
         cfg = fixed_config()
         cfg = cfg.with_seed(None)
@@ -290,8 +299,10 @@ class TestWorkerCap:
 
 
 class TestSharedFactor:
-    """One factorization and one triangular inverse per dataset, no triangular
-    solve, and regions only for rules that use them."""
+    """One design per cell (N, max_order, sigma2): its regressors and its one
+    triangular inverse are built on the first dataset of the cell only.  No
+    Cholesky and no triangular solve run, and regions are built only for
+    rules that use them."""
 
     def _count(self, monkeypatch, module, name, calls=None):
         calls = [] if calls is None else calls
@@ -310,24 +321,38 @@ class TestSharedFactor:
         (["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"], 6),
     ])
     def test_calls_per_dataset(self, monkeypatch, rules, ellipsoids):
-        factors = self._count(monkeypatch, models, "cholesky")
-        designs = self._count(monkeypatch, experiments, "polynomial_regressors")
+        regressors = self._count(monkeypatch, models, "polynomial_regressors")
+        designs = self._count(monkeypatch, models, "build_design")
         built = self._count(monkeypatch, experiments, "build_ellipsoid")
-        # the scipy attribute and every mcselect binding of each triangular
-        # kernel, so a module that imports one by name is counted too
+        # the scipy attribute and every mcselect binding of each kernel, so a
+        # module that imports one by name is counted too
         kernels = {}
-        for home, name in ((scipy.linalg, "solve_triangular"), (scipy.linalg.lapack, "dtrtri")):
+        for home, name in ((scipy.linalg, "cholesky"), (scipy.linalg, "solve_triangular"),
+                           (scipy.linalg.lapack, "dtrtri")):
             calls = kernels[name] = []
             bound = [m for key, m in sorted(sys.modules.items())
                      if key.startswith("mcselect") and hasattr(m, name)]
             for module in [home] + bound:
                 self._count(monkeypatch, module, name, calls)
-        data = Dataset(np.sin(np.arange(100.0)), 1.0)
-        cfg = config_from_dict({"experiment": "select", "sigma2": 1.0, "max_order": 6,
-                                "rules": rules, "samples": 50, "seed": 3})
-        select_once(data, cfg)
-        assert (len(factors), len(designs), len(built)) == (1, 1, ellipsoids)
-        assert (len(kernels["solve_triangular"]), len(kernels["dtrtri"])) == (0, 1)
+
+        def counts():
+            return (len(kernels["cholesky"]), len(regressors), len(kernels["dtrtri"]),
+                    len(kernels["solve_triangular"]), len(designs))
+
+        raw = {"experiment": "select", "sigma2": 1.0, "max_order": 6,
+               "rules": rules, "samples": 50, "seed": 3}
+        models.polynomial_design.cache_clear()
+        select_once(Dataset(np.sin(np.arange(100.0)), 1.0), config_from_dict(raw))
+        assert counts() == (0, 1, 1, 0, 1)
+        assert len(built) == ellipsoids
+        # a second dataset of the same cell reuses the design
+        select_once(Dataset(np.cos(np.arange(100.0)), 1.0), config_from_dict(raw))
+        assert counts() == (0, 1, 1, 0, 1)
+        assert len(built) == 2 * ellipsoids
+        # a new sigma2 is a new cell: exactly one more design
+        raw["sigma2"] = 0.37
+        select_once(Dataset(np.sin(np.arange(100.0)), 0.37), config_from_dict(raw))
+        assert counts() == (0, 2, 2, 0, 2)
 
 
 class TestRunRandom:

@@ -10,11 +10,13 @@ from conftest import TRUE_COEFFS, fd_hessian
 from mcselect.models import (
     Dataset,
     ParseError,
+    build_design,
     fit,
     fit_nested,
     generate_data,
     load_dataset_y,
     log_likelihood,
+    polynomial_design,
     polynomial_regressors,
     save_dataset_csv,
 )
@@ -210,13 +212,12 @@ class TestFitNested:
             y = polynomial_regressors(n, 4) @ np.array(TRUE_COEFFS) + noise
             data = Dataset(y, sigma2)
             phi = polynomial_regressors(n, 8)
-            nested = fit_nested(data, phi)
+            nested = fit_nested(data, build_design(phi, sigma2))
             assert len(nested) == 8
             missing = [f is None for f in nested]
             assert missing == sorted(missing)  # the None entries are a suffix
             for d in range(1, min(n, 8) + 1):
-                # d > n is rank-deficient: whether its factor succeeds is
-                # down to rounding, so only full-rank orders are compared
+                # d > n is rank-deficient, see test_more_columns_than_points
                 try:
                     ref = fit(data, phi[:, :d])
                 except NotPositiveDefinite:
@@ -241,27 +242,84 @@ class TestFitNested:
     def test_singular_suffix(self):
         # three points identify at most three coefficients
         data = Dataset([0.0, 1.0, 2.0], 1.0)
-        nested = fit_nested(data, polynomial_regressors(3, 6))
+        nested = fit_nested(data, build_design(polynomial_regressors(3, 6), 1.0))
         assert [f is None for f in nested] == [False] * 3 + [True] * 3
         assert nested[2].dim == 3
-        # a zero first column leaves no block to factor
-        assert fit_nested(data, np.zeros((3, 2))) == [None, None]
+        # a zero first column leaves no full-rank prefix
+        assert fit_nested(data, build_design(np.zeros((3, 2)), 1.0)) == [None, None]
 
     def test_chol_factors_information(self):
         data = generate_data(random_stream(10, 0), 4, TRUE_COEFFS, 0.37, 60)
-        for f in fit_nested(data, polynomial_regressors(60, 6)):
+        for f in fit_nested(data, build_design(polynomial_regressors(60, 6), 0.37)):
             assert np.allclose(f.chol @ f.chol.T, f.fim, rtol=1e-12, atol=0.0)
             assert np.array_equal(f.chol, np.tril(f.chol))
 
     def test_fit_is_last_entry(self):
         data = generate_data(random_stream(11, 0), 3, (0.2, -0.1, 0.05), 1.0, 30)
         phi = polynomial_regressors(30, 5)
-        last = fit_nested(data, phi)[-1]
+        last = fit_nested(data, build_design(phi, 1.0))[-1]
         f = fit(data, phi)
         assert np.array_equal(f.theta_hat, last.theta_hat)
         assert np.array_equal(f.chol, last.chol)
         assert np.array_equal(f.chol_inv, last.chol_inv)
         assert f.max_loglik == last.max_loglik
+
+    @pytest.mark.parametrize("sigma2", [1.0, 0.37])
+    def test_bits_independent_of_max_order(self, sigma2):
+        # Gram-Schmidt column j reads only columns <= j, so an order's fit
+        # is the same to the bit in every design that contains it
+        for n in self.N_VALUES:
+            noise = np.random.default_rng(n).standard_normal(n)
+            data = Dataset(polynomial_regressors(n, 4) @ np.array(TRUE_COEFFS) + noise, sigma2)
+            ref = fit_nested(data, build_design(polynomial_regressors(n, 16), sigma2))
+            for max_order in range(6, 16):
+                design = build_design(polynomial_regressors(n, max_order), sigma2)
+                for d, (got, want) in enumerate(zip(fit_nested(data, design), ref), start=1):
+                    assert (got is None) == (want is None), (n, max_order, d)
+                    if got is None:
+                        continue
+                    assert np.array_equal(got.theta_hat, want.theta_hat), (n, max_order, d)
+                    assert got.max_loglik == want.max_loglik, (n, max_order, d)
+                    assert np.array_equal(got.chol, want.chol), (n, max_order, d)
+                    assert np.array_equal(got.chol_inv, want.chol_inv), (n, max_order, d)
+
+    def test_more_columns_than_points(self):
+        for n in range(2, 12):
+            data = Dataset(np.random.default_rng(n).standard_normal(n), 1.0)
+            nested = fit_nested(data, build_design(polynomial_regressors(n, 16), 1.0))
+            assert [f is None for f in nested] == [d > n for d in range(1, 17)], n
+
+    def test_high_order_matches_scaled_lstsq(self):
+        # cond(Phi) is ~1e12 at order 16; scaling the columns to unit norm
+        # lets lstsq reach the answer the normal equations lose
+        rng = np.random.default_rng(16)
+        phi = polynomial_regressors(200, 16)
+        y = phi @ rng.uniform(-0.5, 0.5, 16) + rng.standard_normal(200)
+        got = fit_nested(Dataset(y, 1.0), build_design(phi, 1.0))[-1].theta_hat
+        scale = 1.0 / np.linalg.norm(phi, axis=0)
+        want = np.linalg.lstsq(phi * scale, y, rcond=None)[0] * scale
+        assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
+
+    def test_cached_design_is_read_only(self):
+        design = polynomial_design(50, 4, 1.0)
+        f = fit_nested(Dataset(np.sin(np.arange(50.0)), 1.0), design)[-1]
+        for a in (design.basis, design.chol, design.chol_inv, f.chol, f.chol_inv):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_design_per_sigma2(self):
+        a = polynomial_design(50, 4, 1.0)
+        b = polynomial_design(50, 4, 0.37)
+        assert a is not b
+        assert np.allclose(b.chol, a.chol / math.sqrt(0.37), rtol=1e-15)
+        assert polynomial_design(50, 4, 0.37) is b
+
+    def test_design_must_match_data(self):
+        design = polynomial_design(50, 4, 1.0)
+        with pytest.raises(DimensionMismatch):
+            fit_nested(Dataset(np.zeros(49), 1.0), design)
+        with pytest.raises(DimensionMismatch):
+            fit_nested(Dataset(np.zeros(50), 0.37), design)
 
 
 class TestGenerateData:
