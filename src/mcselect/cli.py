@@ -27,7 +27,6 @@ from .experiments import (
     write_report,
 )
 from .models import Dataset, ParseError, load_dataset_y
-from .numerics import NotPositiveDefinite
 from .regions import BoxCollapsed, PartitionTooLarge
 from .sampling import AcceptanceTooLow
 
@@ -178,7 +177,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (NoViableCandidate, AcceptanceTooLow, NotPositiveDefinite, BoxCollapsed) as err:
+    except (NoViableCandidate, AcceptanceTooLow, BoxCollapsed) as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
 

@@ -125,7 +125,7 @@ def ueg_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
 def ge_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
     """Average likelihood under the truncated-Gaussian prior."""
     _check_samples(m)
-    batch = sample_truncated_gaussian(rng, model, e, m)
+    batch = sample_truncated_gaussian(rng, e, m)
     log_mean, se = _log_mean_and_se(model.log_likelihood_batch(batch.points))
     return MarginalEstimate(log_mean, se, m, "ge")
 

@@ -46,20 +46,27 @@ from .regions import (
 from .sampling import AcceptanceTooLow, random_stream
 from .selection import SelectionOutcome, select_criterion, select_map
 
-# rule -> scorer(rng, fit, ellipsoid, config).  Criterion rules return a
-# CriterionScore and ignore the stream; the rest return a MarginalEstimate.
-# Estimators are looked up by name at call time, so a wrapper patched onto
-# this module (a tracer, a test double) sees every call.  Box rules build
-# their box inside the rule, so a collapsed box excludes only them.
+
+def _ellipsoid(f, c):
+    """The fit's concentration ellipsoid at the config's radius for its order."""
+    return build_ellipsoid(f, c.mu_for(f.dim))
+
+
+# rule -> scorer(rng, fit, config).  Criterion rules return a CriterionScore
+# and ignore the stream; the rest build the region their prior lives on
+# from the fit and return a MarginalEstimate.  Estimators and region
+# builders are looked up by name at call time, so a wrapper patched onto
+# this module (a tracer, a test double) sees every call.  A collapsed box
+# excludes only the rule that built it.
 RULES = {
-    "aic": lambda rng, f, e, c: aic(f),
-    "bic": lambda rng, f, e, c: bic(f, f.data.n_points),
-    "ue": lambda rng, f, e, c: ue_estimate(rng, f, e, c.samples),
-    "ueg": lambda rng, f, e, c: ueg_estimate(rng, f, e, c.samples),
-    "ge": lambda rng, f, e, c: ge_estimate(rng, f, e, c.samples),
-    "ub": lambda rng, f, e, c: ub_estimate(rng, f, bounding_box(e), c.samples),
-    "ub-strat": lambda rng, f, e, c: ub_stratified_estimate(
-        rng, f, partition(bounding_box(e), c.strat_segments()), c.samples
+    "aic": lambda rng, f, c: aic(f),
+    "bic": lambda rng, f, c: bic(f, f.data.n_points),
+    "ue": lambda rng, f, c: ue_estimate(rng, f, _ellipsoid(f, c), c.samples),
+    "ueg": lambda rng, f, c: ueg_estimate(rng, f, _ellipsoid(f, c), c.samples),
+    "ge": lambda rng, f, c: ge_estimate(rng, f, _ellipsoid(f, c), c.samples),
+    "ub": lambda rng, f, c: ub_estimate(rng, f, bounding_box(_ellipsoid(f, c)), c.samples),
+    "ub-strat": lambda rng, f, c: ub_stratified_estimate(
+        rng, f, partition(bounding_box(_ellipsoid(f, c)), c.strat_segments()), c.samples
     ),
 }
 CRITERION_RULES = frozenset({"aic", "bic"})
@@ -75,8 +82,7 @@ class ConfigError(ValueError):
 
 
 class NoViableCandidate(RuntimeError):
-    """Nothing can be selected: no candidate order fits, or every rule
-    was excluded."""
+    """Nothing can be selected: every rule was excluded."""
 
 
 @dataclass(frozen=True)
@@ -273,34 +279,20 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
 
     Returns rule -> SelectionOutcome.  All orders are fitted from the
     cell's cached design; orders past its full-rank prefix are excluded
-    from every rule (None scores), and if no order fits, NoViableCandidate
-    is raised.  A rule whose box collapses is excluded as a whole: its
+    from every rule (None scores).  Order 1 always fits: its column is all
+    ones.  A rule whose box collapses is excluded as a whole: its
     selected_order is None and extra["excluded"] gives the reason.
     Monte-Carlo rules consume the stream in config order, orders ascending.
     """
     fits = fit_nested(data, polynomial_design(data.n_points, config.max_order, data.noise_variance))
-    if fits[0] is None:
-        raise NoViableCandidate(
-            f"all candidate orders 1..{config.max_order} were singular"
-        )
-
-    # one ellipsoid per fitted order, only if a rule needs it
-    need_region = not CRITERION_RULES.issuperset(config.rules)
-    candidates = []
-    for o, f in enumerate(fits, start=1):
-        if f is None:
-            candidates.append(None)
-            continue
-        e = build_ellipsoid(f, config.mu_for(o)) if need_region else None
-        candidates.append((f, e))
     outcomes: dict[str, SelectionOutcome] = {}
     for rule in config.rules:
         scorer = RULES[rule]
         try:
-            scored = [None if c is None else scorer(rng, *c, config) for c in candidates]
+            scored = [None if f is None else scorer(rng, f, config) for f in fits]
         except BoxCollapsed as err:
             outcomes[rule] = SelectionOutcome(
-                rule, None, [None] * len(candidates), {"excluded": str(err)}
+                rule, None, [None] * len(fits), {"excluded": str(err)}
             )
             continue
         if rule in CRITERION_RULES:
@@ -319,14 +311,7 @@ def _replication_task(args) -> dict:
     data = generate_data(rng, true_order, coeffs, config.sigma2, n_points)
     rank = polynomial_design(n_points, config.max_order, config.sigma2).rank
     excluded = list(range(rank + 1, config.max_order + 1))
-    try:
-        outcomes = score_candidates(data, config, rng)
-    except NoViableCandidate:
-        return {
-            "selected": {rule: None for rule in config.rules},
-            "se": {},
-            "excluded": excluded,
-        }
+    outcomes = score_candidates(data, config, rng)
     se: dict[str, tuple] = {}
     for rule, out in outcomes.items():
         if "mc_std_error_log" in out.extra:
@@ -536,17 +521,16 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         if f is None:
             per_order.append({"order": order, "singular": True})
             continue
-        mu = config.mu_for(order)
-        e = build_ellipsoid(f, mu)
-        row = {"order": order, "mu": mu, "ellipsoid_mass_rho": chi2_cdf(order, mu),
-               "below_floor": {}}
+        e = _ellipsoid(f, config)
+        row = {"order": order, "mu": e.radius,
+               "ellipsoid_mass_rho": chi2_cdf(order, e.radius), "below_floor": {}}
         samplers = (
-            ("box_rejection", sample_uniform_ellipsoid, (e,)),
-            ("gaussian_rejection", sample_truncated_gaussian, (f, e)),
+            ("box_rejection", sample_uniform_ellipsoid),
+            ("gaussian_rejection", sample_truncated_gaussian),
         )
-        for name, sampler, region in samplers:
+        for name, sampler in samplers:
             try:
-                batch = sampler(rng, *region, config.samples)
+                batch = sampler(rng, e, config.samples)
             except AcceptanceTooLow as err:
                 row[f"{name}_acceptance"] = row[f"{name}_proposals"] = None
                 row["below_floor"][name] = str(err)
@@ -565,9 +549,8 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         f = fit_nested(rep_data, design)[config.true_order - 1]
         if f is None:
             continue
-        e = build_ellipsoid(f, config.mu_for(config.true_order))
         valid += 1
-        if contains(e, truth):
+        if contains(_ellipsoid(f, config), truth):
             hits += 1
     return {
         "config": config.to_dict(),

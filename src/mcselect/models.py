@@ -258,13 +258,13 @@ def save_dataset_csv(path, data: Dataset) -> None:
 
 
 def load_dataset_y(path) -> np.ndarray:
-    """Read the y column of a t,y CSV written by save_dataset_csv."""
+    """Read the y column of a t,y CSV; a BOM, blank lines and a header are skipped."""
     ys = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if lineno == 1 and row[0].strip().lower() == "t":
+            if not ys and row[0].strip().lower() == "t":
                 continue
             if len(row) != 2:
                 raise ParseError(f"expected 2 fields, got {len(row)}", lineno)

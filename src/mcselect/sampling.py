@@ -187,12 +187,10 @@ def sample_gaussian(rng: np.random.Generator, e: Ellipsoid, m: int) -> SampleBat
     return SampleBatch(points=points, accepted_count=m, proposed_count=m)
 
 
-def sample_truncated_gaussian(
-    rng: np.random.Generator, model, e: Ellipsoid, m: int
-) -> SampleBatch:
-    """N(theta_hat, J^-1) conditioned on the ellipsoid, by rejection.
+def sample_truncated_gaussian(rng: np.random.Generator, e: Ellipsoid, m: int) -> SampleBatch:
+    """N(center, J^-1) conditioned on the ellipsoid, by rejection.
 
-    e must be the model's concentration ellipsoid: proposals come from its
-    center and chol_inv, which are the model's theta_hat and L^-1.
+    Proposals come from the ellipsoid's center and chol_inv; for a fitted
+    model's concentration ellipsoid those are its theta_hat and L^-1.
     """
     return accept_reject(rng, _gaussian_proposer(e), _ellipsoid_indicator(e), m)

@@ -247,7 +247,7 @@ def test_criterion_8_rejection_acceptance_rates():
 
     model = _Point([0.0, 0.0], np.eye(2))
     e = build_ellipsoid(model, 10.0)
-    tbatch = sample_truncated_gaussian(random_stream(110, 1), model, e, 97_000)
+    tbatch = sample_truncated_gaussian(random_stream(110, 1), e, 97_000)
     trate = tbatch.acceptance_rate
     want = 1.0 - math.exp(-5.0)
     assert abs(trate - want) <= 0.005, trate

@@ -112,6 +112,32 @@ class TestSelectCommand:
                      "--config", str(select_config)])
         assert code == 3
 
+    def _results(self, tmp_path, select_config, path):
+        out = tmp_path / f"out-{path.stem}"
+        code = main(["select", str(path), "--config", str(select_config),
+                     "--out", str(out)])
+        assert code == 0
+        return json.loads((out / "selection.json").read_text())["results"]
+
+    @pytest.mark.parametrize("prefix", ["\ufeff", "\n", "\ufeff\n  \n"])
+    def test_bom_or_blank_lines_before_header(self, tmp_path, select_config,
+                                              data_csv, prefix):
+        # a spreadsheet export starts with a byte-order mark; the header is
+        # still the first row that holds anything
+        text = data_csv.read_text()
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text(prefix + text, encoding="utf-8")
+        assert self._results(tmp_path, select_config, shifted) == self._results(
+            tmp_path, select_config, data_csv
+        )
+
+    def test_header_after_data_exit_3(self, tmp_path, select_config, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2.0\n2,1.0\nt,y\n3,1.5\n")
+        code = main(["select", str(bad), "--config", str(select_config)])
+        assert code == 3
+        assert "line 3: bad number 'y'" in capsys.readouterr().err
+
     def test_partition_cap_exit_2(self, tmp_path, data_csv, capsys):
         cfg = tmp_path / "strat.json"
         cfg.write_text(json.dumps({

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
+from conftest import TRUE_COEFFS
 from mcselect import experiments, models
 from mcselect.experiments import (
     ConfigError,
@@ -17,7 +18,7 @@ from mcselect.experiments import (
     select_once,
     write_report,
 )
-from mcselect.models import Dataset
+from mcselect.models import Dataset, generate_data
 from mcselect.regions import PartitionTooLarge
 from mcselect.sampling import random_stream
 
@@ -301,8 +302,8 @@ class TestWorkerCap:
 class TestSharedFactor:
     """One design per cell (N, max_order, sigma2): its regressors and its one
     triangular inverse are built on the first dataset of the cell only.  No
-    Cholesky and no triangular solve run, and regions are built only for
-    rules that use them."""
+    Cholesky and no triangular solve run, and each Monte-Carlo rule builds
+    one ellipsoid per order, while aic and bic build none."""
 
     def _count(self, monkeypatch, module, name, calls=None):
         calls = [] if calls is None else calls
@@ -318,7 +319,7 @@ class TestSharedFactor:
     @pytest.mark.parametrize("rules, ellipsoids", [
         (["aic", "bic"], 0),
         (["aic", "bic", "ub"], 6),
-        (["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"], 6),
+        (["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"], 30),
     ])
     def test_calls_per_dataset(self, monkeypatch, rules, ellipsoids):
         regressors = self._count(monkeypatch, models, "polynomial_regressors")
@@ -419,10 +420,38 @@ class TestStreamLayout:
         )
 
 
+class TestScorePins:
+    """Pins every rule's per-order scores on a small panel of datasets.
+
+    The digest moves whenever the stream order, an estimator or a region
+    changes, which the criterion-only digests above and CSV tallies can
+    miss.  Scores are hashed at 11 significant digits, so last-bit
+    differences between CPUs do not move it.
+    """
+
+    def test_every_rule(self):
+        rules = ["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"]
+        lines = []
+        for n in (20, 100):
+            for s2 in (1.0, 0.37):
+                for j in (0, 1):
+                    data = generate_data(random_stream(900 + j, n), 4, TRUE_COEFFS, s2, n)
+                    cfg = config_from_dict({
+                        "experiment": "select", "sigma2": s2, "max_order": 6,
+                        "rules": rules, "samples": 200, "seed": 11 + j,
+                    })
+                    for rule, out in select_once(data, cfg).items():
+                        for order, score in enumerate(out.scores, start=1):
+                            lines.append(f"{n},{s2},{j},{rule},{order},"
+                                         f"{out.selected_order},{score:.10e}")
+        assert len(lines) == 336
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "95717d4759c8e6a519005600c856c43d399f355f40af9111e8e8769bda7c422b"
+        )
+
+
 class TestSelectOnce:
     def test_typical_design_recovers_order(self):
-        from mcselect.models import generate_data
-
         rng = random_stream(51, 0)
         data = generate_data(rng, 4, (0.1, 0.1, -0.3, 0.4), 1.0, 100)
         cfg = config_from_dict(

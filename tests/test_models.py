@@ -248,6 +248,19 @@ class TestFitNested:
         # a zero first column leaves no full-rank prefix
         assert fit_nested(data, build_design(np.zeros((3, 2)), 1.0)) == [None, None]
 
+    @pytest.mark.parametrize("sigma2", [1e-300, 1e-40, 1.0, 1e40, 1e300])
+    def test_order_one_always_fits(self, sigma2):
+        # column 0 is all ones, with norm sqrt(N) >= sqrt(2), so the rank
+        # rule always keeps it: no dataset leaves every order unfitted
+        for n in range(2, 61):
+            data = Dataset(np.sin(np.arange(float(n))), sigma2)
+            for max_order in (1, 6, 16):
+                design = polynomial_design(n, max_order, sigma2)
+                assert design.rank >= 1, (n, max_order)
+                first = fit_nested(data, design)[0]
+                assert first is not None, (n, max_order)
+                assert np.all(np.isfinite(first.chol_inv)), (n, max_order)
+
     def test_chol_factors_information(self):
         data = generate_data(random_stream(10, 0), 4, TRUE_COEFFS, 0.37, 60)
         for f in fit_nested(data, build_design(polynomial_regressors(60, 6), 0.37)):

@@ -326,7 +326,7 @@ class TestTruncatedGaussian:
         # d=2, mu=10: acceptance ~ P(chi2_2 <= 10) = 1 - e^-5
         model = _Point([0.5, -0.5], random_spd(np.random.default_rng(3), 2))
         e = build_ellipsoid(model, 10.0)
-        batch = sample_truncated_gaussian(random_stream(23, 0), model, e, 30_000)
+        batch = sample_truncated_gaussian(random_stream(23, 0), e, 30_000)
         assert np.all(mahalanobis_sq(e, batch.points) <= e.radius)
         assert abs(batch.acceptance_rate - (1.0 - math.exp(-5.0))) < 0.005
 
@@ -334,7 +334,7 @@ class TestTruncatedGaussian:
         # d=1, mu=8: acceptance ~ 0.995
         model = _Point([1.0], [[2.0]])
         e = build_ellipsoid(model, 8.0)
-        batch = sample_truncated_gaussian(random_stream(24, 0), model, e, 50_000)
+        batch = sample_truncated_gaussian(random_stream(24, 0), e, 50_000)
         assert abs(batch.acceptance_rate - 0.995) < 0.005
 
     def test_radial_distribution(self):
@@ -342,7 +342,7 @@ class TestTruncatedGaussian:
         model = _Point(np.zeros(3), np.eye(3))
         mu = 6.0
         e = build_ellipsoid(model, mu)
-        batch = sample_truncated_gaussian(random_stream(25, 0), model, e, 8_000)
+        batch = sample_truncated_gaussian(random_stream(25, 0), e, 8_000)
         q = np.sort(mahalanobis_sq(e, batch.points))
         rho = chi2_cdf(3, mu)
         want = np.array([chi2_cdf(3, x) / rho for x in q])
@@ -352,6 +352,6 @@ class TestTruncatedGaussian:
     def test_deterministic(self):
         model = _Point([0.0, 0.0], np.eye(2))
         e = build_ellipsoid(model, 4.0)
-        a = sample_truncated_gaussian(random_stream(26, 0), model, e, 500)
-        b = sample_truncated_gaussian(random_stream(26, 0), model, e, 500)
+        a = sample_truncated_gaussian(random_stream(26, 0), e, 500)
+        b = sample_truncated_gaussian(random_stream(26, 0), e, 500)
         assert np.array_equal(a.points, b.points)
