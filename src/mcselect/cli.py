@@ -65,9 +65,9 @@ def _load_config(args) -> ExperimentConfig:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as err:
+    except OSError as err:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config: {err}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if args.samples is not None:
         raw["samples"] = args.samples
@@ -94,7 +94,11 @@ def _write_json(path, payload) -> None:
 
 def _cmd_select(args) -> int:
     config = _resolve_seed(_load_config(args))
-    y = load_dataset_y(args.data)
+    try:
+        y = load_dataset_y(args.data)
+    except OSError as err:  # missing, a directory, unreadable
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     outcomes = select_once(Dataset(y, config.sigma2), config)
     results = {}
     for rule, out in outcomes.items():
@@ -174,7 +178,7 @@ def main(argv=None) -> int:
     except (ConfigError, PartitionTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ParseError, FileNotFoundError) as err:
+    except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (NoViableCandidate, AcceptanceTooLow, BoxCollapsed) as err:

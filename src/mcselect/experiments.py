@@ -20,10 +20,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import product
 
 import numpy as np
 
 from .estimators import (
+    CriterionScore,
     aic,
     bic,
     ge_estimate,
@@ -69,7 +71,6 @@ RULES = {
         rng, f, partition(bounding_box(_ellipsoid(f, c)), c.strat_segments()), c.samples
     ),
 }
-CRITERION_RULES = frozenset({"aic", "bic"})
 VALID_EXPERIMENTS = ("fixed", "random", "select")
 
 # streams >= this index feed coefficient draws; replication streams count
@@ -295,7 +296,7 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
                 rule, None, [None] * len(fits), {"excluded": str(err)}
             )
             continue
-        if rule in CRITERION_RULES:
+        if isinstance(scored[0], CriterionScore):
             outcomes[rule] = select_criterion(scored, rule=rule)
             continue
         ses = [None if est is None else est.mc_std_error_log for est in scored]
@@ -303,25 +304,21 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
     return outcomes
 
 
-def _replication_task(args) -> dict:
+def _replication_task(args) -> tuple:
     """One dataset: generate, fit, select under every rule.  Top-level so
-    process pools can pickle it by reference."""
+    process pools can pickle it by reference.  Returns (rule -> selected
+    order or None, MC rule -> (sum, count) of its log SEs, design rank)."""
     (config, stream_index, n_points, true_order, coeffs) = args
     rng = random_stream(config.seed, stream_index)
     data = generate_data(rng, true_order, coeffs, config.sigma2, n_points)
     rank = polynomial_design(n_points, config.max_order, config.sigma2).rank
-    excluded = list(range(rank + 1, config.max_order + 1))
     outcomes = score_candidates(data, config, rng)
     se: dict[str, tuple] = {}
     for rule, out in outcomes.items():
         if "mc_std_error_log" in out.extra:
             vals = [v for v in out.extra["mc_std_error_log"] if v is not None]
             se[rule] = (float(np.sum(vals)), len(vals))
-    return {
-        "selected": {rule: out.selected_order for rule, out in outcomes.items()},
-        "se": se,
-        "excluded": excluded,
-    }
+    return {rule: out.selected_order for rule, out in outcomes.items()}, se, rank
 
 
 @dataclass
@@ -343,7 +340,7 @@ class ExperimentReport:
     def frequency(self, rule: str, n_points: int, true_order: int, order: int) -> float:
         c = self.counts[rule][n_points][true_order]
         total = self.totals[rule][n_points][true_order]
-        return c[order - 1] / total if total else 0.0
+        return c[order - 1] / total
 
     def prob_correct(self, rule: str, n_points: int, true_order: int) -> float:
         return self.frequency(rule, n_points, true_order, true_order)
@@ -352,8 +349,7 @@ class ExperimentReport:
         """Correct-selection count over all cells, divided by all trials."""
         per_true = self.counts[rule][n_points]
         hits = sum(c[t - 1] for t, c in per_true.items())
-        total = sum(self.totals[rule][n_points].values())
-        return hits / total if total else 0.0
+        return hits / sum(self.totals[rule][n_points].values())
 
     def to_dict(self) -> dict:
         return {
@@ -401,44 +397,33 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     start = time.perf_counter()
 
     # a fixed experiment is a random one with a single true order and a
-    # single coefficient draw, so both share the stream index
-    # ((ni * T + ti) * m + j) * R + r, which is ni * R + r when fixed
-    R = config.replications
+    # single coefficient draw; task i owns stream i, enumerated
+    # N -> true order -> coefficient draw -> replication
     if config.experiment == "fixed":
-        draws = {config.true_order: [config.true_coefficients]}
+        draws = [(config.true_order, config.true_coefficients)]
     else:
         m, h = config.coef_draws, config.coef_halfwidth
-        draws = {
-            t: [
-                tuple(-h + 2.0 * h * random_stream(
-                    config.seed, _COEF_STREAM_BASE + (t - 1) * m + j
-                ).random(t))
-                for j in range(m)
-            ]
+        draws = [
+            (t, tuple(-h + 2.0 * h * random_stream(
+                config.seed, _COEF_STREAM_BASE + (t - 1) * m + j
+            ).random(t)))
             for t in range(1, config.max_order + 1)
-        }
-    T = len(draws)
-    tasks = []
-    cells = []  # (n_points, true_order) aligned with tasks
-    for ni, n_points in enumerate(config.n_values):
-        for ti, (true_order, coef_list) in enumerate(draws.items()):
-            for j, coeffs in enumerate(coef_list):
-                base = ((ni * T + ti) * len(coef_list) + j) * R
-                for r in range(R):
-                    tasks.append((config, base + r, n_points, true_order, coeffs))
-                    cells.append((n_points, true_order))
+            for j in range(m)
+        ]
+    grid = product(config.n_values, draws, range(config.replications))
+    tasks = [(config, i, n, t, coeffs) for i, (n, (t, coeffs), _) in enumerate(grid)]
 
     results = _run_tasks(tasks, jobs)
 
+    # every cell holds the same number of replications, failures included
+    true_orders = dict.fromkeys(t for t, _ in draws)
+    per_cell = config.replications * (config.coef_draws or 1)
     counts = {
-        rule: {
-            n: {t: [0] * config.max_order for t in draws}
-            for n in config.n_values
-        }
+        rule: {n: {t: [0] * config.max_order for t in true_orders} for n in config.n_values}
         for rule in config.rules
     }
     totals = {
-        rule: {n: {t: 0 for t in draws} for n in config.n_values}
+        rule: {n: dict.fromkeys(true_orders, per_cell) for n in config.n_values}
         for rule in config.rules
     }
     failures = {rule: 0 for rule in config.rules}
@@ -446,20 +431,17 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     se_sum = {rule: 0.0 for rule in config.rules}
     se_cnt = {rule: 0 for rule in config.rules}
 
-    for (n_points, true_order), res in zip(cells, results):
-        for order in res["excluded"]:
+    for (_, _, n_points, true_order, _), (selected, se, rank) in zip(tasks, results):
+        for order in range(rank + 1, config.max_order + 1):
             excluded[order] = excluded.get(order, 0) + 1
-        for rule in config.rules:
-            sel = res["selected"][rule]
-            totals[rule][n_points][true_order] += 1
+        for rule, sel in selected.items():
             if sel is None:
                 failures[rule] += 1
             else:
                 counts[rule][n_points][true_order][sel - 1] += 1
-            if rule in res["se"]:
-                s, c = res["se"][rule]
-                se_sum[rule] += s
-                se_cnt[rule] += c
+        for rule, (s, c) in se.items():
+            se_sum[rule] += s
+            se_cnt[rule] += c
 
     mean_se = {
         rule: (se_sum[rule] / se_cnt[rule] if se_cnt[rule] else None)
@@ -596,10 +578,7 @@ def write_report(report: ExperimentReport, outdir) -> dict:
             for true_order, c in per_true.items():
                 total = report.totals[rule][n_points][true_order]
                 for order, cnt in enumerate(c, start=1):
-                    hist_rows.append(
-                        (rule, n_points, true_order, order, cnt,
-                         cnt / total if total else 0.0)
-                    )
+                    hist_rows.append((rule, n_points, true_order, order, cnt, cnt / total))
                 prob_rows.append(
                     (rule, n_points, true_order,
                      report.prob_correct(rule, n_points, true_order), total)

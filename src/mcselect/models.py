@@ -260,20 +260,28 @@ def save_dataset_csv(path, data: Dataset) -> None:
 def load_dataset_y(path) -> np.ndarray:
     """Read the y column of a t,y CSV; a BOM, blank lines and a header are skipped."""
     ys = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if not ys and row[0].strip().lower() == "t":
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", lineno)
-            try:
-                ys.append(float(row[1]))
-            except ValueError:
-                raise ParseError(f"bad number {row[1]!r}", lineno) from None
-            if not math.isfinite(ys[-1]):
-                raise ParseError(f"non-finite number {row[1]!r}", lineno)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if not ys and row[0].strip().lower() == "t":
+                    continue
+                if len(row) != 2:
+                    raise ParseError(f"expected 2 fields, got {len(row)}", lineno)
+                try:
+                    ys.append(float(row[1]))
+                except ValueError:
+                    raise ParseError(f"bad number {row[1]!r}", lineno) from None
+                if not math.isfinite(ys[-1]):
+                    raise ParseError(f"non-finite number {row[1]!r}", lineno)
+    except UnicodeDecodeError:
+        # the codec's offset counts from its read buffer, not the file, so
+        # name the first line whose bytes do not survive a UTF-8 round trip
+        with open(path, "rb") as fh:
+            line = next((i for i, raw in enumerate(fh, start=1)
+                         if raw.decode("utf-8", "replace").encode() != raw), 1)
+        raise ParseError("not UTF-8 text", line) from None
     if len(ys) < 2:
         raise ParseError("fewer than 2 data rows", max(len(ys) + 1, 1))
     return np.asarray(ys)

@@ -31,8 +31,8 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
-# Matrices handed to cholesky/log_det must already be symmetric; builders
-# upstream symmetrize via (G + G.T)/2 so this tolerance is never tight.
+# cholesky/log_det are exported and take any matrix: this rejects an
+# asymmetric one instead of letting LAPACK read only its lower triangle.
 _SYMMETRY_ATOL = 1e-12
 
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 from mcselect.models import Dataset, fit, generate_data, polynomial_regressors
-from mcselect.numerics import cholesky
 from mcselect.sampling import random_stream
 
 settings.register_profile(
@@ -69,16 +68,24 @@ def intercept_fit():
     return fit(data, polynomial_regressors(20, 1))
 
 
-class ConstantLikelihood:
+class FitStub:
+    """Fitted-model stand-in for regions and samplers: a centre, a metric J,
+    J's lower factor and that factor's inverse."""
+
+    def __init__(self, center, metric):
+        self.theta_hat = np.asarray(center, dtype=float)
+        self.dim = self.theta_hat.size
+        self.fim = np.asarray(metric, dtype=float)
+        self.chol = cholesky(self.fim, lower=True)
+        self.chol_inv = solve_triangular(self.chol, np.eye(self.dim), lower=True)
+
+
+class ConstantLikelihood(FitStub):
     """Duck-typed stand-in whose likelihood is constant everywhere."""
 
-    def __init__(self, dim, value, fim=None):
-        self.dim = dim
+    def __init__(self, dim, value):
+        super().__init__(np.zeros(dim), np.eye(dim))
         self.max_loglik = value
-        self.theta_hat = np.zeros(dim)
-        self.fim = np.eye(dim) if fim is None else np.asarray(fim, dtype=float)
-        self.chol = cholesky(self.fim)
-        self.chol_inv = solve_triangular(self.chol, np.eye(len(self.chol)), lower=True)
 
     def log_likelihood_batch(self, thetas):
         t = np.asarray(thetas)

@@ -8,9 +8,8 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from conftest import TRUE_COEFFS, ConstantLikelihood, trapezoid_log_integral
+from conftest import TRUE_COEFFS, ConstantLikelihood, FitStub, trapezoid_log_integral
 from mcselect.cli import main as cli_main
 from mcselect.estimators import (
     ge_estimate,
@@ -21,7 +20,7 @@ from mcselect.estimators import (
 )
 from mcselect.experiments import config_from_dict, run_experiment
 from mcselect.models import fit, generate_data, polynomial_regressors
-from mcselect.numerics import chi2_cdf, cholesky
+from mcselect.numerics import chi2_cdf
 from mcselect.regions import (
     bounding_box,
     build_ellipsoid,
@@ -36,15 +35,6 @@ from mcselect.sampling import (
 )
 
 import json
-
-
-class _Point:
-    def __init__(self, center, metric):
-        self.theta_hat = np.asarray(center, dtype=float)
-        self.fim = np.asarray(metric, dtype=float)
-        self.chol = cholesky(self.fim)
-        self.chol_inv = solve_triangular(self.chol, np.eye(len(self.chol)), lower=True)
-        self.dim = self.theta_hat.size
 
 
 def test_criterion_1_ellipsoid_coverage():
@@ -239,13 +229,13 @@ def test_criterion_7_stratification_reduces_variance():
 
 def test_criterion_8_rejection_acceptance_rates():
     """Empirical acceptance rates match the geometric/probability masses."""
-    disk = build_ellipsoid(_Point([0.0, 0.0], np.eye(2)), 4.0)
+    disk = build_ellipsoid(FitStub([0.0, 0.0], np.eye(2)), 4.0)
     batch = sample_uniform_ellipsoid(random_stream(110, 0), disk, 78_540)
     rate = batch.acceptance_rate
     assert batch.proposed_count >= 50_000
     assert abs(rate - math.pi / 4.0) <= 0.01, rate
 
-    model = _Point([0.0, 0.0], np.eye(2))
+    model = FitStub([0.0, 0.0], np.eye(2))
     e = build_ellipsoid(model, 10.0)
     tbatch = sample_truncated_gaussian(random_stream(110, 1), e, 97_000)
     trate = tbatch.acceptance_rate

@@ -107,6 +107,31 @@ class TestSelectCommand:
         err = capsys.readouterr().err
         assert "line 3" in err and value in err
 
+    @pytest.mark.parametrize("content, line", [
+        ("t,y\n1,2.0\n2,1.5\n".encode("utf-16"), 1),
+        (b"t,y\n1,2.0\n2,1.5\xb0\n3,1.0\n", 3),
+        # past the text reader's first buffer, so the line is counted from
+        # the file, not from the buffer the codec failed in
+        (b"t,y\n" + b"1,2.0\n" * 5000 + b"2,1.5\xb0\n", 5002),
+    ], ids=["utf-16", "latin-1", "latin-1-deep"])
+    def test_not_utf8_data_exit_3(self, tmp_path, select_config, capsys, content, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        code = main(["select", str(bad), "--config", str(select_config)])
+        assert code == 3
+        assert f"line {line}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_directory_as_data_exit_3(self, tmp_path, select_config):
+        assert main(["select", str(tmp_path), "--config", str(select_config)]) == 3
+
+    @pytest.mark.parametrize("make", [
+        lambda p: p.mkdir(),
+        lambda p: p.write_bytes('{"experiment": "select"}'.encode("utf-16")),
+    ], ids=["directory", "utf-16"])
+    def test_unreadable_config_exit_2(self, tmp_path, data_csv, make):
+        make(tmp_path / "cfg")
+        assert main(["select", str(data_csv), "--config", str(tmp_path / "cfg")]) == 2
+
     def test_missing_data_exit_3(self, tmp_path, select_config, capsys):
         code = main(["select", str(tmp_path / "none.csv"),
                      "--config", str(select_config)])

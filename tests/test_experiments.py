@@ -40,6 +40,13 @@ def fixed_config(**over):
     return config_from_dict(raw)
 
 
+def _report_dict(report):
+    """The whole report less its wall time, which is all that may differ."""
+    d = report.to_dict()
+    del d["wall_time_seconds"]
+    return d
+
+
 def random_config(**over):
     raw = {
         "experiment": "random",
@@ -160,17 +167,20 @@ class TestRunFixed:
             assert sum(a.counts[rule][40][2]) == 10
             assert a.totals[rule][40][2] == 10
 
-    @pytest.mark.parametrize("rules, samples", [
-        (["aic", "bic", "ub"], 200),
-        (["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"], 60),
-    ], ids=["three-rules", "seven-rules"])
-    def test_parallel_matches_serial(self, rules, samples):
-        cfg = fixed_config(replications=8, rules=rules, samples=samples)
-        serial = run_experiment(cfg, jobs=1)
-        parallel = run_experiment(cfg, jobs=3)
-        assert serial.counts == parallel.counts
-        assert serial.failures == parallel.failures
-        assert serial.mean_mc_std_error_log == parallel.mean_mc_std_error_log
+    @pytest.mark.parametrize("over, expect", [
+        ({"rules": ["aic", "bic", "ub"]}, {}),
+        ({"rules": list(experiments.RULES), "samples": 60}, {}),
+        ({"n_values": [3, 40], "max_order": 4, "replications": 6, "seed": 31,
+          "rules": list(experiments.RULES), "samples": 60}, {"excluded_orders": {4: 6}}),
+        ({"n_values": [3, 40], "max_order": 4, "replications": 6, "seed": 31,
+          "rules": ["bic", "ub"], "sigma2": 1e-40},
+         {"excluded_orders": {4: 6}, "failures": {"bic": 0, "ub": 12}}),
+    ], ids=["three-rules", "seven-rules", "excluded-orders", "collapsed-box"])
+    def test_parallel_matches_serial(self, over, expect):
+        cfg = fixed_config(**{"replications": 8, **over})
+        serial = _report_dict(run_experiment(cfg, jobs=1))
+        assert serial == _report_dict(run_experiment(cfg, jobs=3))
+        assert {k: serial[k] for k in expect} == expect
 
     def test_near_noise_free_never_underfits(self):
         # With the configured noise variance entering the likelihood, nested
@@ -384,9 +394,16 @@ class TestRunRandom:
         a = run_experiment(cfg)
         assert sum(a.totals["ub"][20].values()) == sum(a.totals["ub"][30].values()) == 12
 
-    def test_parallel_matches_serial(self):
-        cfg = random_config()
-        assert run_experiment(cfg, jobs=1).counts == run_experiment(cfg, jobs=2).counts
+    @pytest.mark.parametrize("over, excluded", [
+        ({}, {}),
+        ({"n_values": [3, 30], "max_order": 4, "coef_draws": 1,
+          "rules": ["aic", "ue", "ub"]}, {4: 16}),
+    ], ids=["default", "excluded-orders"])
+    def test_parallel_matches_serial(self, over, excluded):
+        cfg = random_config(**over)
+        serial = _report_dict(run_experiment(cfg, jobs=1))
+        assert serial == _report_dict(run_experiment(cfg, jobs=2))
+        assert serial["excluded_orders"] == excluded
 
 
 class TestStreamLayout:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
-from conftest import TRUE_COEFFS, random_spd
+from conftest import TRUE_COEFFS, FitStub, random_spd
 from mcselect.models import fit, generate_data, polynomial_regressors
-from mcselect.numerics import DimensionMismatch, NotPositiveDefinite, cholesky
+from mcselect.numerics import DimensionMismatch
 from mcselect.regions import (
     PARTITION_CAP,
     Box,
@@ -25,17 +25,6 @@ from mcselect.regions import (
 from mcselect.sampling import random_stream
 
 
-class _Point:
-    """Minimal fitted-model stand-in for region construction."""
-
-    def __init__(self, center, metric):
-        self.theta_hat = np.asarray(center, dtype=float)
-        self.fim = np.asarray(metric, dtype=float)
-        self.chol = cholesky(self.fim)
-        self.chol_inv = solve_triangular(self.chol, np.eye(len(self.chol)), lower=True)
-        self.dim = self.theta_hat.size
-
-
 def test_default_mu():
     assert default_mu(1) == 8.0
     assert default_mu(2) == 10.0
@@ -47,13 +36,13 @@ def test_default_mu():
 
 class TestEllipsoid:
     def test_contains_center_and_boundary(self):
-        e = build_ellipsoid(_Point([0.0, 0.0], np.eye(2)), 4.0)
+        e = build_ellipsoid(FitStub([0.0, 0.0], np.eye(2)), 4.0)
         assert contains(e, np.array([0.0, 0.0]))
         assert contains(e, np.array([2.0, 0.0]))  # boundary is closed
         assert not contains(e, np.array([2.0 + 1e-6, 0.0]))
 
     def test_anisotropic_membership(self):
-        e = build_ellipsoid(_Point([0.0, 0.0], np.diag([1.0, 4.0])), 1.0)
+        e = build_ellipsoid(FitStub([0.0, 0.0], np.diag([1.0, 4.0])), 1.0)
         assert contains(e, np.array([0.9, 0.0]))
         assert contains(e, np.array([0.0, 0.45]))
         assert not contains(e, np.array([0.0, 0.6]))
@@ -62,14 +51,14 @@ class TestEllipsoid:
         rng = np.random.default_rng(0)
         J = random_spd(rng, 3)
         c = rng.random(3)
-        e = build_ellipsoid(_Point(c, J), 5.0)
+        e = build_ellipsoid(FitStub(c, J), 5.0)
         pts = c + rng.random((40, 3)) - 0.5
         got = mahalanobis_sq(e, pts)
         direct = np.array([(p - c) @ J @ (p - c) for p in pts])
         assert np.allclose(got, direct, rtol=1e-10, atol=1e-12)
 
     def test_dimension_checks(self):
-        e = build_ellipsoid(_Point([0.0, 0.0], np.eye(2)), 1.0)
+        e = build_ellipsoid(FitStub([0.0, 0.0], np.eye(2)), 1.0)
         with pytest.raises(DimensionMismatch):
             contains(e, np.array([1.0]))
         with pytest.raises(DimensionMismatch):
@@ -77,27 +66,25 @@ class TestEllipsoid:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            build_ellipsoid(_Point([0.0], [[1.0]]), 0.0)
-        with pytest.raises(NotPositiveDefinite):
-            build_ellipsoid(_Point([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]]), 1.0)
+            build_ellipsoid(FitStub([0.0], [[1.0]]), 0.0)
 
     def test_log_volume_disk(self):
         # identity metric, mu = 10: area pi * 10
-        e = build_ellipsoid(_Point([0.0, 0.0], np.eye(2)), 10.0)
+        e = build_ellipsoid(FitStub([0.0, 0.0], np.eye(2)), 10.0)
         assert math.isclose(ellipsoid_log_volume(e), math.log(10.0 * math.pi), rel_tol=1e-12)
 
     def test_log_volume_scaled(self):
         # det J = 4: area = pi * mu / sqrt(det J) = pi
-        e = build_ellipsoid(_Point([0.0, 0.0], np.diag([4.0, 1.0])), 2.0)
+        e = build_ellipsoid(FitStub([0.0, 0.0], np.diag([4.0, 1.0])), 2.0)
         assert math.isclose(ellipsoid_log_volume(e), math.log(math.pi), rel_tol=1e-12)
 
     def test_log_volume_interval(self):
         # d=1: length 2 sqrt(mu / J)
-        e = build_ellipsoid(_Point([3.0], [[4.0]]), 4.0)
+        e = build_ellipsoid(FitStub([3.0], [[4.0]]), 4.0)
         assert math.isclose(ellipsoid_log_volume(e), math.log(2.0), rel_tol=1e-12)
 
     def test_log_volume_ball(self):
-        e = build_ellipsoid(_Point([0.0] * 3, np.eye(3)), 1.0)
+        e = build_ellipsoid(FitStub([0.0] * 3, np.eye(3)), 1.0)
         assert math.isclose(
             ellipsoid_log_volume(e), math.log(4.0 * math.pi / 3.0), rel_tol=1e-12
         )
@@ -105,25 +92,25 @@ class TestEllipsoid:
 
 class TestBoundingBox:
     def test_identity_metric(self):
-        e = build_ellipsoid(_Point([1.0, -1.0], np.eye(2)), 4.0)
+        e = build_ellipsoid(FitStub([1.0, -1.0], np.eye(2)), 4.0)
         b = bounding_box(e)
         assert np.allclose(b.lo, [-1.0, -3.0], atol=1e-12)
         assert np.allclose(b.hi, [3.0, 1.0], atol=1e-12)
 
     def test_diagonal_metric(self):
-        e = build_ellipsoid(_Point([0.0, 0.0], np.diag([4.0, 1.0])), 4.0)
+        e = build_ellipsoid(FitStub([0.0, 0.0], np.diag([4.0, 1.0])), 4.0)
         b = bounding_box(e)
         assert np.allclose(b.widths, [2.0, 4.0], rtol=1e-12)
 
     def test_collapsed_box_names_the_order(self):
         # halfwidth sqrt(1e-40) = 1e-20 vanishes against a center of 1
-        e = build_ellipsoid(_Point([0.0, 1.0], np.diag([1.0, 1e40])), 1.0)
+        e = build_ellipsoid(FitStub([0.0, 1.0], np.diag([1.0, 1e40])), 1.0)
         with pytest.raises(BoxCollapsed, match="order 2"):
             bounding_box(e)
 
     def test_correlated_hand_case(self):
         # J = [[2,1],[1,2]], mu = 3: (J^-1)_kk = 2/3, halfwidth sqrt(2)
-        e = build_ellipsoid(_Point([0.0, 0.0], [[2.0, 1.0], [1.0, 2.0]]), 3.0)
+        e = build_ellipsoid(FitStub([0.0, 0.0], [[2.0, 1.0], [1.0, 2.0]]), 3.0)
         b = bounding_box(e)
         assert np.allclose(b.widths, [2.0 * math.sqrt(2.0)] * 2, rtol=1e-12)
 
@@ -134,11 +121,11 @@ class TestBoundingBox:
         J = random_spd(rng, d)
         c = rng.random(d)
         mu = 1.0 + 4.0 * rng.random()
-        e = build_ellipsoid(_Point(c, J), mu)
+        e = build_ellipsoid(FitStub(c, J), mu)
         b = bounding_box(e)
         # boundary points theta = c + sqrt(mu) L^-T u for unit u stay inside
         # the box, and the per-axis extremes are attained
-        L = cholesky(J)
+        L = cholesky(J, lower=True)
         u = rng.standard_normal((400, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         back = solve_triangular(L, u.T, lower=True, trans="T").T

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import solve_triangular
 
-from conftest import random_spd
-from mcselect.numerics import chi2_cdf, cholesky
+from conftest import FitStub, random_spd
+from mcselect.numerics import chi2_cdf
 from mcselect.regions import Box, bounding_box, build_ellipsoid, mahalanobis_sq
 from mcselect.sampling import (
     AcceptanceTooLow,
@@ -19,15 +18,6 @@ from mcselect.sampling import (
     sample_uniform_ellipsoid,
     standard_normal,
 )
-
-
-class _Point:
-    def __init__(self, center, metric):
-        self.theta_hat = np.asarray(center, dtype=float)
-        self.fim = np.asarray(metric, dtype=float)
-        self.chol = cholesky(self.fim)
-        self.chol_inv = solve_triangular(self.chol, np.eye(len(self.chol)), lower=True)
-        self.dim = self.theta_hat.size
 
 
 class TestRandomStream:
@@ -163,7 +153,7 @@ class TestUniformBox:
 
 class TestUniformEllipsoid:
     def test_all_points_inside(self):
-        model = _Point([1.0, -2.0], random_spd(np.random.default_rng(0), 2))
+        model = FitStub([1.0, -2.0], random_spd(np.random.default_rng(0), 2))
         e = build_ellipsoid(model, 5.0)
         batch = sample_uniform_ellipsoid(random_stream(15, 0), e, 4_000)
         assert batch.points.shape == (4_000, 2)
@@ -175,20 +165,20 @@ class TestUniformEllipsoid:
 
     def test_acceptance_rate_disk(self):
         # disk in its bounding square: pi/4
-        e = build_ellipsoid(_Point([0.0, 0.0], np.eye(2)), 4.0)
+        e = build_ellipsoid(FitStub([0.0, 0.0], np.eye(2)), 4.0)
         batch = sample_uniform_ellipsoid(random_stream(16, 0), e, 20_000)
         assert abs(batch.acceptance_rate - math.pi / 4.0) < 0.01
 
     def test_one_dimensional_accepts_everything(self):
         # the bounding box of an interval is the interval itself
-        e = build_ellipsoid(_Point([2.0], [[3.0]]), 8.0)
+        e = build_ellipsoid(FitStub([2.0], [[3.0]]), 8.0)
         batch = sample_uniform_ellipsoid(random_stream(17, 0), e, 50_000)
         assert batch.acceptance_rate == 1.0
 
     def test_matches_manual_composition(self):
         # the sampler is accept_reject with box proposals and the membership
         # indicator; composing those pieces by hand must reproduce it bitwise
-        e = build_ellipsoid(_Point([1.0, 0.0], [[2.0, 1.0], [1.0, 2.0]]), 6.0)
+        e = build_ellipsoid(FitStub([1.0, 0.0], [[2.0, 1.0], [1.0, 2.0]]), 6.0)
         box = bounding_box(e)
         lo, widths, d = box.lo, box.widths, box.dim
         manual = accept_reject(
@@ -202,7 +192,7 @@ class TestUniformEllipsoid:
         assert manual.proposed_count == direct.proposed_count
 
     def test_mean_near_center(self):
-        e = build_ellipsoid(_Point([3.0, -1.0], np.eye(2)), 4.0)
+        e = build_ellipsoid(FitStub([3.0, -1.0], np.eye(2)), 4.0)
         batch = sample_uniform_ellipsoid(random_stream(19, 0), e, 50_000)
         # uniform on a radius-2 disk: per-axis sd is radius/2 = 1
         se = 1.0 / math.sqrt(50_000)
@@ -228,7 +218,7 @@ class TestEllipsoidDirect:
 
     def _ellipsoid(self, d, seed=0):
         J = self._metric(d, seed)
-        return build_ellipsoid(_Point(np.linspace(-1.0, 2.0, d), J), 6.0 + 2.0 * d)
+        return build_ellipsoid(FitStub(np.linspace(-1.0, 2.0, d), J), 6.0 + 2.0 * d)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
     def test_all_points_inside(self, d):
@@ -296,7 +286,7 @@ class TestEllipsoidDirect:
 class TestGaussian:
     def test_mean_and_covariance(self):
         J = random_spd(np.random.default_rng(1), 3, jitter=1.0)
-        model = _Point([1.0, 2.0, -1.0], J)
+        model = FitStub([1.0, 2.0, -1.0], J)
         batch = sample_gaussian(random_stream(20, 0), build_ellipsoid(model, 1.0), 60_000)
         cov_want = np.linalg.inv(J)
         axis_sd = np.sqrt(np.diag(cov_want))
@@ -307,7 +297,7 @@ class TestGaussian:
 
     def test_mahalanobis_is_chi_square(self):
         J = random_spd(np.random.default_rng(2), 4, jitter=1.0)
-        model = _Point(np.zeros(4), J)
+        model = FitStub(np.zeros(4), J)
         e = build_ellipsoid(model, 1.0)
         batch = sample_gaussian(random_stream(21, 0), e, 50_000)
         q = mahalanobis_sq(e, batch.points)
@@ -315,7 +305,7 @@ class TestGaussian:
             assert abs(float(np.mean(q <= x)) - chi2_cdf(4, x)) < 0.01
 
     def test_deterministic(self):
-        e = build_ellipsoid(_Point([0.0, 0.0], np.eye(2)), 1.0)
+        e = build_ellipsoid(FitStub([0.0, 0.0], np.eye(2)), 1.0)
         a = sample_gaussian(random_stream(22, 0), e, 100)
         b = sample_gaussian(random_stream(22, 0), e, 100)
         assert np.array_equal(a.points, b.points)
@@ -324,7 +314,7 @@ class TestGaussian:
 class TestTruncatedGaussian:
     def test_inside_and_acceptance(self):
         # d=2, mu=10: acceptance ~ P(chi2_2 <= 10) = 1 - e^-5
-        model = _Point([0.5, -0.5], random_spd(np.random.default_rng(3), 2))
+        model = FitStub([0.5, -0.5], random_spd(np.random.default_rng(3), 2))
         e = build_ellipsoid(model, 10.0)
         batch = sample_truncated_gaussian(random_stream(23, 0), e, 30_000)
         assert np.all(mahalanobis_sq(e, batch.points) <= e.radius)
@@ -332,14 +322,14 @@ class TestTruncatedGaussian:
 
     def test_one_dim_acceptance(self):
         # d=1, mu=8: acceptance ~ 0.995
-        model = _Point([1.0], [[2.0]])
+        model = FitStub([1.0], [[2.0]])
         e = build_ellipsoid(model, 8.0)
         batch = sample_truncated_gaussian(random_stream(24, 0), e, 50_000)
         assert abs(batch.acceptance_rate - 0.995) < 0.005
 
     def test_radial_distribution(self):
         # within the ellipsoid, q follows chi2_d truncated at mu
-        model = _Point(np.zeros(3), np.eye(3))
+        model = FitStub(np.zeros(3), np.eye(3))
         mu = 6.0
         e = build_ellipsoid(model, mu)
         batch = sample_truncated_gaussian(random_stream(25, 0), e, 8_000)
@@ -350,7 +340,7 @@ class TestTruncatedGaussian:
         assert np.max(np.abs(empirical - want)) < 0.02
 
     def test_deterministic(self):
-        model = _Point([0.0, 0.0], np.eye(2))
+        model = FitStub([0.0, 0.0], np.eye(2))
         e = build_ellipsoid(model, 4.0)
         a = sample_truncated_gaussian(random_stream(26, 0), e, 500)
         b = sample_truncated_gaussian(random_stream(26, 0), e, 500)
