@@ -4,7 +4,7 @@
     mcselect experiment --config cfg.json [--out DIR] [--jobs K]
     mcselect sample-diag --config cfg.json [--out DIR]
 
-Exit codes: 0 success, 2 bad usage or config, 3 unreadable data file,
+Exit codes: 0 success, 2 bad usage, config or --out, 3 unreadable data file,
 4 numerical failure (nothing selectable, rejection stalled).
 """
 
@@ -69,12 +69,13 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {err}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
-    if args.samples is not None:
-        raw["samples"] = args.samples
-    if args.rules is not None:
-        raw["rules"] = [r.strip() for r in args.rules.split(",") if r.strip()]
-    if args.seed is not None:
-        raw["seed"] = args.seed
+    if isinstance(raw, dict):  # anything else is config_from_dict's to reject
+        if args.samples is not None:
+            raw["samples"] = args.samples
+        if args.rules is not None:
+            raw["rules"] = [r.strip() for r in args.rules.split(",") if r.strip()]
+        if args.seed is not None:
+            raw["seed"] = args.seed
     return config_from_dict(raw)
 
 
@@ -92,8 +93,7 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _cmd_select(args) -> int:
-    config = _resolve_seed(_load_config(args))
+def _cmd_select(args, config: ExperimentConfig) -> int:
     try:
         y = load_dataset_y(args.data)
     except OSError as err:  # missing, a directory, unreadable
@@ -109,7 +109,6 @@ def _cmd_select(args) -> int:
             print(f"{rule}: excluded, {out.extra['excluded']}")
         else:
             print(f"{rule}: order {out.selected_order}")
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "selection.json")
     _write_json(path, {
         "config": config.to_dict(),
@@ -121,8 +120,7 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    config = _resolve_seed(_load_config(args))
+def _cmd_experiment(args, config: ExperimentConfig) -> int:
     report = run_experiment(config, jobs=max(1, args.jobs))
     paths = write_report(report, args.out)
     for rule in config.rules:
@@ -136,8 +134,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_sample_diag(args) -> int:
-    config = _resolve_seed(_load_config(args))
+def _cmd_sample_diag(args, config: ExperimentConfig) -> int:
     diag = run_diagnostics(config)
     for row in diag["samplers"]:
         if row.get("singular"):
@@ -156,7 +153,6 @@ def _cmd_sample_diag(args) -> int:
         f"coverage: order {cov['order']} ellipsoid contains the truth in "
         f"{cov['fraction']:.4f} of {cov['replications']} replications"
     )
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "diagnostics.json")
     _write_json(path, diag)
     print(f"wrote {path}")
@@ -170,11 +166,16 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
+        config = _resolve_seed(_load_config(args))
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:  # an existing file, or a path through one
+            raise ConfigError(f"cannot use --out {args.out}: {err}") from None
         if args.command == "select":
-            return _cmd_select(args)
+            return _cmd_select(args, config)
         if args.command == "experiment":
-            return _cmd_experiment(args)
-        return _cmd_sample_diag(args)
+            return _cmd_experiment(args, config)
+        return _cmd_sample_diag(args, config)
     except (ConfigError, PartitionTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -88,7 +88,7 @@ class NoViableCandidate(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment settings; mirrors the JSON config schema."""
+    """Validated experiment settings; the JSON config schema is `_FIELDS`."""
 
     experiment: str
     sigma2: float
@@ -120,35 +120,39 @@ class ExperimentConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-_FIELD_TYPES = {
-    "experiment": str,
-    "sigma2": (int, float),
-    "max_order": int,
-    "rules": list,
-    "samples": int,
-    "n_values": list,
-    "replications": int,
-    "true_order": int,
-    "true_coefficients": list,
-    "coef_draws": int,
-    "coef_halfwidth": (int, float),
-    "stratification_segments": int,
-    "mu": list,
-    "seed": int,
+# config key -> (JSON type, the kinds that require it).  A kind keeps the
+# keys it requires and the optional ones, which no kind requires; a key
+# only other kinds require is type-checked and then dropped.
+_FIELDS = {
+    "experiment": (str, VALID_EXPERIMENTS),
+    "sigma2": ((int, float), VALID_EXPERIMENTS),
+    "max_order": (int, VALID_EXPERIMENTS),
+    "rules": (list, VALID_EXPERIMENTS),
+    "samples": (int, VALID_EXPERIMENTS),
+    "n_values": (list, ("fixed", "random")),
+    "replications": (int, ("fixed", "random")),
+    "true_order": (int, ("fixed",)),
+    "true_coefficients": (list, ("fixed",)),
+    "coef_draws": (int, ("random",)),
+    "coef_halfwidth": ((int, float), ("random",)),
+    "stratification_segments": (int, ()),
+    "mu": (list, ()),
+    "seed": (int, ()),
 }
-_ALWAYS_REQUIRED = ("experiment", "sigma2", "max_order", "rules", "samples")
-_KIND_REQUIRED = {
-    "fixed": ("n_values", "replications", "true_order", "true_coefficients"),
-    "random": ("n_values", "replications", "coef_draws", "coef_halfwidth"),
-    "select": (),
-}
+_MINIMUM = {"max_order": 1, "samples": 2, "replications": 1, "coef_draws": 1,
+            "stratification_segments": 1}
+
+
+def _finite_number(v) -> bool:
+    """Not a boolean, NaN or infinite; a huge int compares without overflow."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated config; every complaint names the offending key."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(_FIELD_TYPES))
+    unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
@@ -157,25 +161,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"experiment must be one of {', '.join(VALID_EXPERIMENTS)}, got {kind!r}"
         )
-    missing = [k for k in _ALWAYS_REQUIRED + _KIND_REQUIRED[kind] if raw.get(k) is None]
+    missing = [k for k, (_, kinds) in _FIELDS.items() if kind in kinds and raw.get(k) is None]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
     for key, val in raw.items():
         if val is None:
             continue
-        want = _FIELD_TYPES[key]
+        want = _FIELDS[key][0]
         if isinstance(val, bool) or not isinstance(val, want):
             raise ConfigError(f"config key {key!r} has invalid type {type(val).__name__}")
+    cfg = {k: raw.get(k) for k, (_, kinds) in _FIELDS.items() if kind in kinds or not kinds}
 
-    if not (raw["sigma2"] > 0 and math.isfinite(raw["sigma2"])):
-        raise ConfigError(f"sigma2 must be positive and finite, got {raw['sigma2']}")
-    if raw["max_order"] < 1:
-        raise ConfigError(f"max_order must be >= 1, got {raw['max_order']}")
-    if raw["samples"] < 2:
-        raise ConfigError(f"samples must be >= 2, got {raw['samples']}")
+    for key in ("sigma2", "coef_halfwidth"):
+        if key in cfg:
+            if not (cfg[key] > 0 and math.isfinite(cfg[key])):
+                raise ConfigError(f"{key} must be positive and finite, got {cfg[key]}")
+            cfg[key] = float(cfg[key])
+    for key, low in _MINIMUM.items():
+        if cfg.get(key) is not None and cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
 
-    rules = [str(r).lower() for r in raw["rules"]]
+    rules = cfg["rules"] = tuple(str(r).lower() for r in cfg["rules"])
     if not rules:
         raise ConfigError("rules must not be empty")
     bad = [r for r in rules if r not in RULES]
@@ -186,93 +193,51 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if len(set(rules)) != len(rules):
         raise ConfigError("rules contains duplicates")
 
-    n_values = tuple(raw.get("n_values") or ())
-    if kind != "select":
+    if "n_values" in cfg:
+        n_values = cfg["n_values"] = tuple(cfg["n_values"])
         if not n_values or any(not isinstance(n, int) or n < 2 for n in n_values):
             raise ConfigError("n_values must be a non-empty list of integers >= 2")
         if len(set(n_values)) != len(n_values):
             raise ConfigError("n_values contains duplicates")
-        if raw["replications"] < 1:
-            raise ConfigError(f"replications must be >= 1, got {raw['replications']}")
 
-    true_order = raw.get("true_order")
-    true_coefficients = raw.get("true_coefficients")
-    if kind == "fixed":
-        if not 1 <= true_order <= raw["max_order"]:
+    if "true_order" in cfg:
+        true_order = cfg["true_order"]
+        if not 1 <= true_order <= cfg["max_order"]:
             raise ConfigError(
-                f"true_order must be in [1, max_order={raw['max_order']}], got {true_order}"
+                f"true_order must be in [1, max_order={cfg['max_order']}], got {true_order}"
             )
-        if len(true_coefficients) != true_order or not all(
-            isinstance(c, (int, float)) and not isinstance(c, bool)
-            and math.isfinite(c)
-            for c in true_coefficients
-        ):
-            raise ConfigError(
-                f"true_coefficients must be {true_order} finite numbers"
-            )
-        coeffs = [float(c) for c in true_coefficients]
-        true_coefficients = tuple(coeffs)
-    if kind == "random":
-        if raw["coef_draws"] < 1:
-            raise ConfigError(f"coef_draws must be >= 1, got {raw['coef_draws']}")
-        if not (raw["coef_halfwidth"] > 0 and math.isfinite(raw["coef_halfwidth"])):
-            raise ConfigError(
-                f"coef_halfwidth must be positive and finite, got {raw['coef_halfwidth']}"
-            )
+        coeffs = cfg["true_coefficients"]
+        if len(coeffs) != true_order or not all(_finite_number(c) for c in coeffs):
+            raise ConfigError(f"true_coefficients must be {true_order} finite numbers")
+        cfg["true_coefficients"] = tuple(float(c) for c in coeffs)
 
-    mu = raw.get("mu")
+    mu = cfg["mu"]
     if mu is not None:
-        if len(mu) != raw["max_order"]:
+        if len(mu) != cfg["max_order"]:
             raise ConfigError(
-                f"mu must list one radius per order (expected {raw['max_order']}, got {len(mu)})"
+                f"mu must list one radius per order (expected {cfg['max_order']}, got {len(mu)})"
             )
-        if any(
-            isinstance(v, bool)
-            or not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v))
-            for v in mu
-        ):
+        if not all(_finite_number(v) and v > 0 for v in mu):
             raise ConfigError("mu entries must be positive finite numbers")
-        mu = tuple(float(v) for v in mu)
+        cfg["mu"] = tuple(float(v) for v in mu)
 
-    strat = raw.get("stratification_segments")
-    if strat is not None and strat < 1:
-        raise ConfigError(f"stratification_segments must be >= 1, got {strat}")
-
-    seed = raw.get("seed")
+    seed = cfg["seed"]
     if seed is not None and not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
 
-    return ExperimentConfig(
-        experiment=kind,
-        sigma2=float(raw["sigma2"]),
-        max_order=raw["max_order"],
-        rules=tuple(rules),
-        samples=raw["samples"],
-        n_values=n_values,
-        replications=raw.get("replications") or 0,
-        true_order=true_order if kind == "fixed" else None,
-        true_coefficients=true_coefficients if kind == "fixed" else None,
-        coef_draws=raw.get("coef_draws") if kind == "random" else None,
-        coef_halfwidth=float(raw["coef_halfwidth"]) if kind == "random" else None,
-        stratification_segments=strat,
-        mu=mu,
-        seed=seed,
-    )
+    config = ExperimentConfig(**cfg)
+    L = config.strat_segments() if "ub-strat" in rules else 1
+    if L**config.max_order > PARTITION_CAP:
+        raise PartitionTooLarge(
+            f"{L}^{config.max_order} sub-boxes exceeds the cap of {PARTITION_CAP}; "
+            "lower stratification_segments or max_order"
+        )
+    return config
 
 
 def draw_seed() -> int:
     """Fresh OS-entropy seed, printable and reusable."""
     return int(np.random.SeedSequence().entropy % 2**64)
-
-
-def _check_partition_feasible(config: ExperimentConfig) -> None:
-    if "ub-strat" in config.rules:
-        L = config.strat_segments()
-        if L**config.max_order > PARTITION_CAP:
-            raise PartitionTooLarge(
-                f"{L}^{config.max_order} sub-boxes exceeds the cap of {PARTITION_CAP}; "
-                "lower stratification_segments or max_order"
-            )
 
 
 def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
@@ -393,7 +358,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         raise ConfigError(f"cannot run experiment kind {config.experiment!r}")
     if config.seed is None:
         raise ConfigError("config seed must be resolved before running")
-    _check_partition_feasible(config)
     start = time.perf_counter()
 
     # a fixed experiment is a random one with a single true order and a
@@ -462,7 +426,6 @@ def select_once(data: Dataset, config: ExperimentConfig) -> dict:
     """Apply every configured rule to one observed dataset."""
     if config.seed is None:
         raise ConfigError("config seed must be resolved before running")
-    _check_partition_feasible(config)
     rng = random_stream(config.seed, 0)
     outcomes = score_candidates(data, config, rng)
     if all("excluded" in out.extra for out in outcomes.values()):

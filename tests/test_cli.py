@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from mcselect import cli
 from mcselect.cli import main
 from mcselect.models import Dataset, save_dataset_csv
 from mcselect.sampling import random_stream
@@ -173,6 +174,18 @@ class TestSelectCommand:
         code = main(["select", str(data_csv), "--config", str(cfg)])
         assert code == 2
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, override", [
+        ([1, 2], ["--samples", "5"]),
+        ("fixed", ["--seed", "3"]),
+    ], ids=["list", "string"])
+    def test_non_object_config_exit_2(self, tmp_path, data_csv, capsys,
+                                      payload, override):
+        cfg = tmp_path / "notobj.json"
+        cfg.write_text(json.dumps(payload))
+        code = main(["select", str(data_csv), "--config", str(cfg), *override])
+        assert code == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path, select_config, data_csv):
         out = tmp_path / "o2"
@@ -352,6 +365,54 @@ class TestSampleDiagCommand:
     def test_needs_fixed_config(self, tmp_path, select_config, capsys):
         code = main(["sample-diag", "--config", str(select_config)])
         assert code == 2
+
+    def test_partition_cap_exit_2(self, tmp_path, experiment_config, capsys):
+        cfg = json.loads(experiment_config.read_text())
+        cfg.update(rules=["ub-strat"], stratification_segments=101)
+        path = tmp_path / "strat.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["sample-diag", "--config", str(path), "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+
+class TestUnusableOut:
+    """An --out that cannot be a directory fails before any work."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("a file, not a directory\n")
+        return path
+
+    def _check(self, capsys, code, out):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot use --out" in err and str(out) in err
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "through-file"])
+    def test_select(self, blocker, select_config, data_csv, capsys, nested):
+        out = blocker / "x" if nested else blocker
+        code = main(["select", str(data_csv), "--config", str(select_config),
+                     "--out", str(out)])
+        self._check(capsys, code, out)
+
+    def test_experiment_runs_nothing(self, blocker, experiment_config, capsys,
+                                     monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_experiment called with an unusable --out")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        code = main(["experiment", "--config", str(experiment_config),
+                     "--out", str(blocker)])
+        self._check(capsys, code, blocker)
+
+    def test_sample_diag(self, blocker, experiment_config, capsys):
+        out = blocker / "x"
+        code = main(["sample-diag", "--config", str(experiment_config),
+                     "--out", str(out)])
+        self._check(capsys, code, out)
 
 
 class TestModuleEntryPoint:

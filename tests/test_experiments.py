@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ from conftest import TRUE_COEFFS
 from mcselect import experiments, models
 from mcselect.experiments import (
     ConfigError,
+    ExperimentConfig,
     config_from_dict,
     run_diagnostics,
     run_experiment,
@@ -155,6 +157,34 @@ class TestConfigValidation:
         )
         assert cfg.experiment == "select"
 
+    def test_schema_table_covers_every_field(self):
+        # a field without a table entry could never be set from a config
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(experiments._FIELDS) == fields
+
+    @pytest.mark.parametrize("kind, dropped", [
+        ("fixed", {"coef_draws", "coef_halfwidth"}),
+        ("random", {"true_order", "true_coefficients"}),
+        ("select", {"n_values", "replications", "true_order", "true_coefficients",
+                    "coef_draws", "coef_halfwidth"}),
+    ], ids=["fixed", "random", "select"])
+    def test_kind_keeps_only_its_keys(self, kind, dropped):
+        # every key set validly: a kind echoes the keys it uses, and the
+        # ones it does not use hold the dataclass defaults
+        raw = {
+            "experiment": kind, "sigma2": 1.0, "max_order": 3, "rules": ["aic"],
+            "samples": 100, "n_values": [40], "replications": 5, "true_order": 2,
+            "true_coefficients": [0.4, -0.2], "coef_draws": 2, "coef_halfwidth": 0.5,
+            "stratification_segments": 2, "mu": [8.0, 10.0, 12.0], "seed": 3,
+        }
+        defaults = {
+            f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(ExperimentConfig)
+            if f.default is not dataclasses.MISSING
+        }
+        echoed = config_from_dict(raw).to_dict()
+        assert echoed == {k: defaults[k] if k in dropped else v for k, v in raw.items()}
+
 
 class TestRunFixed:
     def test_deterministic_and_tallies(self):
@@ -248,12 +278,11 @@ class TestRunFixed:
             run_experiment(cfg)
 
     def test_stratification_cap_checked_upfront(self):
-        cfg = fixed_config(
-            rules=["ub-strat"], max_order=3, true_order=2,
-            stratification_segments=101,
-        )
         with pytest.raises(PartitionTooLarge):
-            run_experiment(cfg)
+            fixed_config(
+                rules=["ub-strat"], max_order=3, true_order=2,
+                stratification_segments=101,
+            )
 
 
 class _SerialPool:
