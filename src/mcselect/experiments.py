@@ -141,6 +141,11 @@ _FIELDS = {
 }
 _MINIMUM = {"max_order": 1, "samples": 2, "replications": 1, "coef_draws": 1,
             "stratification_segments": 1}
+# The rank rule ends every design on the [-5, 5] grid by column 37 (at
+# max_order 48: rank 20 at N = 20, 36 at N = 100, 37 from N = 1000 to
+# 100 000), so an order past this cap could only be excluded.  The cap
+# keeps Phi's N * max_order floats and ub-strat's L**max_order small.
+MAX_ORDER = 64
 
 
 def _finite_number(v) -> bool:
@@ -181,6 +186,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key, low in _MINIMUM.items():
         if cfg.get(key) is not None and cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
+    if cfg["max_order"] > MAX_ORDER:
+        raise ConfigError(f"max_order must be <= {MAX_ORDER}, got {cfg['max_order']}")
 
     rules = cfg["rules"] = tuple(str(r).lower() for r in cfg["rules"])
     if not rules:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,7 +259,43 @@ def save_dataset_csv(path, data: Dataset) -> None:
 
 
 def load_dataset_y(path) -> np.ndarray:
-    """Read the y column of a t,y CSV; a BOM, blank lines and a header are skipped."""
+    """Read the y column of a t,y CSV; a BOM, blank lines and a header are skipped.
+
+    A well-formed file takes one C-level parse; any file that parse refuses
+    is read again by the row loop, which accepts or rejects it as before.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            y = _parse_plain(fh)
+        except (ValueError, Warning):  # also UnicodeDecodeError
+            y = None
+    return _load_y_by_rows(path) if y is None else y
+
+
+def _parse_plain(fh) -> np.ndarray | None:
+    """y from plain `t,y` lines by one np.loadtxt pass, or None where the
+    row loop could decide otherwise: a blank first line, a row without
+    exactly two fields that loadtxt reads as numbers (so no quotes, `1_0`
+    or non-ASCII digits, and with comments=None no `0.5#c`), fewer than two
+    rows, or a non-finite y.  Universal newlines turn CRLF and CR into LF,
+    and loadtxt gives y float()'s bits.  A pipe is left unread for the loop."""
+    if not fh.seekable():
+        return None
+    first = fh.readline()
+    if not first.strip():
+        return None
+    header = first.split(",", 1)[0].strip().lower() == "t"
+    fh.seek(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+        rows = np.loadtxt(fh, delimiter=",", comments=None, skiprows=int(header), ndmin=2)
+    if rows.shape[0] < 2 or rows.shape[1] != 2 or not np.isfinite(rows[:, 1]).all():
+        return None
+    return rows[:, 1].copy()
+
+
+def _load_y_by_rows(path) -> np.ndarray:
+    """The reference parser: one csv row at a time, naming the bad line."""
     ys = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

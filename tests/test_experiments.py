@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -184,6 +186,45 @@ class TestConfigValidation:
         }
         echoed = config_from_dict(raw).to_dict()
         assert echoed == {k: defaults[k] if k in dropped else v for k, v in raw.items()}
+
+    def test_max_order_cap(self):
+        cap = experiments.MAX_ORDER
+        assert fixed_config(max_order=cap).max_order == cap
+        with pytest.raises(ConfigError, match=f"max_order must be <= {cap}, got {cap + 1}$"):
+            fixed_config(max_order=cap + 1)
+
+    def test_huge_max_order_rejected_in_a_child(self):
+        # the cap must act before anything scales with max_order: ub-strat's
+        # partition check does not return at 2**64 and overflows at 10**400,
+        # and Phi takes N * max_order floats; the child turns a hang into a
+        # timeout
+        src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+        code = """if True:
+            import json
+            from mcselect.experiments import ConfigError, config_from_dict
+            base = {"sigma2": 1.0, "samples": 100, "n_values": [40], "replications": 2,
+                    "true_order": 2, "true_coefficients": [0.4, -0.2],
+                    "coef_draws": 2, "coef_halfwidth": 0.5}
+            out = []
+            for kind in ("fixed", "random", "select"):
+                for rules in (["aic"], ["aic", "ub-strat"]):
+                    for exp in ((2, 64), (10, 400)):
+                        raw = dict(base, experiment=kind, rules=rules, max_order=exp[0] ** exp[1])
+                        try:
+                            config_from_dict(raw)
+                            out.append("accepted")
+                        except ConfigError as err:
+                            out.append(str(err))
+            print(json.dumps(out))
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = [f"max_order must be <= {experiments.MAX_ORDER}, got {b ** e}"
+                for _ in range(6) for b, e in ((2, 64), (10, 400))]
+        assert json.loads(proc.stdout) == want
 
 
 class TestRunFixed:

@@ -1,12 +1,15 @@
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtri
 
 from conftest import TRUE_COEFFS, fd_hessian
+from mcselect import models
 from mcselect.models import (
     Dataset,
     ParseError,
@@ -399,3 +402,142 @@ class TestCsvRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset_y(tmp_path / "absent.csv")
+
+
+def _outcome(load, path):
+    """y's float64 bits, or the exception's type, message and line."""
+    try:
+        return load(path).tobytes()
+    except Exception as err:  # compared, not handled
+        return type(err), str(err), getattr(err, "line", None)
+
+
+def _both_ways(path, monkeypatch):
+    """load_dataset_y's outcome, the reference loop's, and whether the
+    C-level parse took the file (the loop was not run); loading warns of
+    nothing."""
+    calls = []
+    loop = models._load_y_by_rows
+    monkeypatch.setattr(models, "_load_y_by_rows", lambda p: calls.append(p) or loop(p))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(load_dataset_y, path)
+    assert [str(w.message) for w in caught] == []
+    return got, _outcome(loop, path), not calls
+
+
+# (name, file bytes, whether the C-level parse takes it)
+_EDGE_FILES = [
+    ("lf", b"t,y\n1,0.5\n2,-0.25\n3,1e-300\n", True),
+    ("crlf", b"t,y\r\n1,0.5\r\n2,-0.25\r\n", True),
+    ("cr-only", b"t,y\r1,0.5\r2,-0.25\r", True),
+    ("bom", b"\xef\xbb\xbft,y\n1,0.5\n2,-0.25\n", True),
+    ("headerless", b"1,0.5\n2,-0.25", True),
+    ("header-spelling", b" T ,Y\n1, 0.5\n2,\t-0.25 \n", True),
+    ("blank-lines", b"t,y\n1,0.5\n\n2,-0.25\n\n\n", True),
+    ("whitespace-line", b"t,y\n1,0.5\n  \n2,-0.25\n", False),
+    ("leading-blank", b"\nt,y\n1,0.5\n2,-0.25\n", False),
+    ("quoted-field", b't,y\n1,"0.5"\n2,-0.25\n', False),
+    ("quoted-newline", b't,y\n"a\n1",0.5\n2,-0.25\n', False),
+    ("underscore", b"t,y\n1,1_0\n2,-0.25\n", False),
+    ("arabic-digit", "t,y\n1,\u0661\n2,-0.25\n".encode(), False),
+    ("text-t", b"t,y\na,0.5\nb,-0.25\n", False),
+    ("three-fields", b"t,y\n1,2\n3,4,5\n", False),
+    ("one-field", b"t,y\n1\n2\n", False),
+    ("inf", b"t,y\n1,2\n2,inf\n", False),
+    ("minus-infinity", b"t,y\n1,-Infinity\n2,2\n", False),
+    ("nan", b"t,y\n1,2\n2,nan\n", False),
+    ("overflow", b"t,y\n1,2\n2,1e400\n", False),
+    ("bad-number", b"t,y\n1,2\n2,potato\n", False),
+    ("hash", b"t,y\n1,0.5#c\n2,-0.25\n", False),
+    ("empty-y", b"t,y\n1,\n2,-0.25\n", False),
+    ("empty-file", b"", False),
+    ("header-only", b"t,y\n", False),
+    ("one-row", b"t,y\n1,2\n", False),
+    ("not-utf8", b"t,y\n1,0.5\n2,\xff0.25\n", False),
+]
+
+
+class TestCsvFastPath:
+    """The C-level parse returns the reference loop's bits, or leaves the
+    file to the loop, which raises its own error."""
+
+    @pytest.mark.parametrize("raw, fast", [c[1:] for c in _EDGE_FILES],
+                             ids=[c[0] for c in _EDGE_FILES])
+    def test_edge_file(self, raw, fast, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        got, want, took_fast = _both_ways(path, monkeypatch)
+        assert got == want
+        assert took_fast == fast
+
+    @pytest.mark.parametrize("crlf", [True, False], ids=["crlf", "lf"])
+    def test_written_files_take_the_fast_path(self, crlf, tmp_path, monkeypatch):
+        data = generate_data(random_stream(12, 0), 3, (1.0, -0.5, 0.1), 0.37, 2000)
+        path = tmp_path / "data.csv"
+        save_dataset_csv(path, data)  # csv.writer ends rows with CRLF
+        if not crlf:
+            path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        got, want, took_fast = _both_ways(path, monkeypatch)
+        assert took_fast
+        assert got == want == data.y.tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_goes_to_the_loop(self, monkeypatch):
+        # the C-level pass needs to rewind after the header line, so a pipe
+        # must reach the loop with nothing read from it
+        r, w = os.pipe()
+        os.write(w, b"t,y\n1,0.5\n2,-0.25\n")
+        os.close(w)
+        try:
+            got, _, took_fast = _both_ways(f"/dev/fd/{r}", monkeypatch)
+        finally:
+            os.close(r)
+        assert got == np.array([0.5, -0.25]).tobytes()
+        assert not took_fast
+
+    _number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
+        st.integers(-10**6, 10**6).map(str),
+        st.sampled_from([" 2.5 ", "+.5", "-0", "1E5", "\t7"]),
+    )
+    _odd = st.one_of(
+        st.sampled_from(["inf", "-inf", "Infinity", "+INF", "nan", "-NaN", "1e400", "1_0",
+                         "", '"3.5"', '"4,5"', "x", "\u0661", "t"]),
+        _number.map("{}#c".format),
+    )
+    _row = st.tuples(_number, _number).map(",".join)
+    # one odd line at most, so that about half the files are well formed
+    _odd_line = st.one_of(
+        st.tuples(_number, _odd).map(",".join),
+        st.tuples(_odd, _number).map(",".join),
+        st.tuples(_number, _number, _number).map(",".join),
+        _number,
+        st.sampled_from(["", " ", "\t "]),
+    )
+
+    @given(
+        bom=st.booleans(),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        header=st.sampled_from([None, "t,y", "T,Y", " t ,y", "t", "t,y,z", '"t",y', "x,y"]),
+        rows=st.lists(_row, max_size=8),
+        odd=st.one_of(st.none(), st.tuples(st.integers(0, 8), _odd_line)),
+        final_newline=st.booleans(),
+    )
+    # the two files that a `#` comment rule and an unchecked field count
+    # would read differently from the loop
+    @example(bom=False, newline="\n", header="t,y", rows=["1,2", "2,3"],
+             odd=(1, "3,0.5#c"), final_newline=True)
+    @example(bom=False, newline="\n", header="t,y", rows=["1,2", "2,3"],
+             odd=(1, "3,4,5"), final_newline=True)
+    @settings(max_examples=200)
+    def test_matches_reference_loop(self, tmp_path_factory, bom, newline, header,
+                                    rows, odd, final_newline):
+        if odd is not None:
+            rows = rows[:odd[0]] + [odd[1]] + rows[odd[0]:]
+        body = ([header] if header is not None else []) + rows
+        text = newline.join(body) + (newline if final_newline and body else "")
+        path = tmp_path_factory.getbasetemp() / "generated.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode())
+        assert _outcome(load_dataset_y, path) == _outcome(models._load_y_by_rows, path)
