@@ -2,10 +2,12 @@
 
 Each Monte-Carlo estimator averages likelihood values (or importance
 weights) over draws from a data-centered prior and reports the result in
-the log domain together with a delta-method standard error of the log:
+the log domain together with a delta-method standard error of the log.
+ue, ueg and ge work on the whitened squared distance q alone (see
+FittedModel.log_likelihood_radial), so e must be build_ellipsoid(model, mu):
 
     ue        uniform prior on the concentration ellipsoid
-    ueg       same prior, but importance-sampled from N(theta_hat, J^-1)
+    ueg       same prior, importance-sampled from N(theta_hat, J^-1): closed form
     ge        Gaussian prior truncated to the ellipsoid
     ub        uniform prior on the ellipsoid's bounding box
     ub-strat  ub with the box split into equal-mass strata
@@ -21,13 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import chi2_cdf
-from .regions import Box, BoxPartition, Ellipsoid, ellipsoid_log_volume, mahalanobis_sq
-from .sampling import (
-    sample_ellipsoid_direct,
-    sample_gaussian,
-    sample_truncated_gaussian,
-    sample_uniform_box,
-)
+from .regions import Box, BoxPartition, Ellipsoid, ellipsoid_log_volume
+from .sampling import accept_reject, sample_uniform_box, skip_uniforms, standard_normal
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -76,57 +73,62 @@ def _log_mean_and_se(log_weights: np.ndarray) -> tuple[float, float]:
 
     se(log p_hat) ~ sd(w) / (mean(w) sqrt(M)); the common shift cancels.
     """
-    shift = float(np.max(log_weights))
+    shift = float(np.maximum.reduce(log_weights))
     if shift == -math.inf:
         return -math.inf, 0.0
     w = np.exp(log_weights - shift)
-    mean_w = float(np.mean(w))
-    log_mean = shift + math.log(mean_w)
-    se = float(np.std(w, ddof=1)) / (mean_w * math.sqrt(w.size))
-    return log_mean, se
+    # the reductions np.mean and np.std(ddof=1) run, without their wrappers
+    n = w.size
+    mean_w = float(np.add.reduce(w) / n)
+    w -= mean_w
+    sd = math.sqrt(np.add.reduce(np.square(w, out=w)) / (n - 1))
+    return shift + math.log(mean_w), sd / (mean_w * math.sqrt(n))
 
 
 def ue_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
-    """Average likelihood over a uniform draw on the ellipsoid."""
+    """Average likelihood over a uniform draw on the ellipsoid.
+
+    With e = build_ellipsoid(model, mu), sample_ellipsoid_direct's point at
+    radius sqrt(mu) U^(1/d) has q = mu U^(2/d) whatever its direction, so its
+    2 ceil(m d / 2) direction uniforms are skipped and its m radii drawn.
+    """
     _check_samples(m)
-    batch = sample_ellipsoid_direct(rng, e, m)
-    log_mean, se = _log_mean_and_se(model.log_likelihood_batch(batch.points))
+    skip_uniforms(rng, 2 * ((m * e.dim + 1) // 2))
+    q = (math.sqrt(e.radius) * rng.random(m) ** (1.0 / e.dim)) ** 2
+    log_mean, se = _log_mean_and_se(model.log_likelihood_radial(q))
     return MarginalEstimate(log_mean, se, m, "ue")
 
 
-def _gaussian_log_density(e: Ellipsoid, points: np.ndarray) -> np.ndarray:
-    # log N(points; center, J^-1), with (1/2) log det J = sum log diag L
-    half_log_det = float(np.sum(np.log(np.diag(e.chol))))
-    return half_log_det - 0.5 * e.dim * LOG_2PI - 0.5 * mahalanobis_sq(e, points)
-
-
 def ueg_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
-    """Importance-sampled uniform-ellipsoid estimate.
+    """Importance-sampled uniform-ellipsoid estimate, in closed form.
 
-    Draws come from N(theta_hat, J^-1) without truncation; the uniform
-    prior enters through the mass factor
+    Draws from g = N(theta_hat, J^-1) without truncation would enter as
 
         log p_hat = log rho - log vol(e) + log mean(p / g)
 
-    with rho the chi-square mass of the ellipsoid.  For the linear
-    Gaussian family p/g is constant, so the Monte-Carlo error vanishes.
+    with rho the chi-square mass of the ellipsoid.  For the linear Gaussian
+    family and e = build_ellipsoid(model, mu), log(p / g) = mll - sum log
+    diag L + (d/2) log 2 pi at every draw, so the error is zero; the stream
+    skips sample_gaussian's m d normals.
     """
     _check_samples(m)
-    batch = sample_gaussian(rng, e, m)
-    log_w = model.log_likelihood_batch(batch.points) - _gaussian_log_density(
-        e, batch.points
-    )
-    log_mean, se = _log_mean_and_se(log_w)
-    rho = chi2_cdf(model.dim, e.radius)
-    log_value = math.log(rho) - ellipsoid_log_volume(e) + log_mean
-    return MarginalEstimate(log_value, se, m, "ueg")
+    d = e.dim
+    skip_uniforms(rng, 2 * ((m * d + 1) // 2))
+    log_w = model.max_loglik - float(np.sum(np.log(np.diag(e.chol)))) + 0.5 * d * LOG_2PI
+    log_value = math.log(chi2_cdf(d, e.radius)) - ellipsoid_log_volume(e) + log_w
+    return MarginalEstimate(log_value, 0.0, m, "ueg")
 
 
 def ge_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
-    """Average likelihood under the truncated-Gaussian prior."""
+    """Average likelihood under the truncated-Gaussian prior: the rejection
+    loop of sample_truncated_gaussian on its whitened proposals z ~ N(0, I_d),
+    kept when q = |z|^2 <= mu; e must be build_ellipsoid(model, mu)."""
     _check_samples(m)
-    batch = sample_truncated_gaussian(rng, e, m)
-    log_mean, se = _log_mean_and_se(model.log_likelihood_batch(batch.points))
+    d, mu = e.dim, e.radius
+    batch = accept_reject(rng, lambda r, k: standard_normal(r, (k, d)),
+                          lambda z: np.einsum("ij,ij->i", z, z) <= mu, m)
+    q = np.einsum("ij,ij->i", batch.points, batch.points)
+    log_mean, se = _log_mean_and_se(model.log_likelihood_radial(q))
     return MarginalEstimate(log_mean, se, m, "ge")
 
 

@@ -146,6 +146,9 @@ _MINIMUM = {"max_order": 1, "samples": 2, "replications": 1, "coef_draws": 1,
 # 100 000), so an order past this cap could only be excluded.  The cap
 # keeps Phi's N * max_order floats and ub-strat's L**max_order small.
 MAX_ORDER = 64
+# At this cap one order's draw block is already 0.8 * d GB (10**8 rows of d
+# float64s); a huge value would also overflow ub-strat's segment count.
+MAX_SAMPLES = 10**8
 
 
 def _finite_number(v) -> bool:
@@ -186,8 +189,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key, low in _MINIMUM.items():
         if cfg.get(key) is not None and cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
-    if cfg["max_order"] > MAX_ORDER:
-        raise ConfigError(f"max_order must be <= {MAX_ORDER}, got {cfg['max_order']}")
+    for key, high in (("max_order", MAX_ORDER), ("samples", MAX_SAMPLES)):
+        if cfg[key] > high:
+            raise ConfigError(f"{key} must be <= {high}, got {cfg[key]}")
 
     rules = cfg["rules"] = tuple(str(r).lower() for r in cfg["rules"])
     if not rules:

@@ -131,19 +131,21 @@ class FittedModel:
         return np.einsum("ik,jk->ij", self.chol, self.chol)
 
     def log_likelihood_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Log-likelihood at each row of thetas, shape (m, dim) -> (m,).
-
-        Evaluated through the residual decomposition
-        ll(theta) = max_loglik - (1/2) |(theta - theta_hat) L|^2 with J = L L',
-        which is exact for this family, non-negative in the quadratic term,
-        and free of cancellation when sigma^2 is tiny.  einsum, unlike a BLAS
-        product, gives a row the same bits alone or in a batch.
+        """Log-likelihood at each row of thetas, shape (m, dim) -> (m,): the
+        radial one at q = |(theta - theta_hat) L|^2 with J = L L'.  einsum,
+        unlike a BLAS product, gives a row the same bits alone or in a batch.
         """
         t = np.asarray(thetas, dtype=float)
         if t.ndim != 2 or t.shape[1] != self.dim:
             raise DimensionMismatch(f"expected shape (m, {self.dim}), got {t.shape}")
         z = np.einsum("ij,jk->ik", t - self.theta_hat, self.chol)
-        return self.max_loglik - 0.5 * np.einsum("ij,ij->i", z, z)
+        return self.log_likelihood_radial(np.einsum("ij,ij->i", z, z))
+
+    def log_likelihood_radial(self, q: np.ndarray) -> np.ndarray:
+        """ll = max_loglik - q/2 at whitened squared distance q: exact for this
+        family and free of cancellation when sigma^2 is tiny.  The ue, ueg and
+        ge kernels draw q alone: their ellipsoid must be build_ellipsoid(self, mu)."""
+        return self.max_loglik - 0.5 * q
 
 
 @dataclass(frozen=True)
@@ -299,7 +301,8 @@ def _load_y_by_rows(path) -> np.ndarray:
     ys = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            reader = csv.reader(fh)
+            for lineno, row in enumerate(reader, start=1):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if not ys and row[0].strip().lower() == "t":
@@ -312,6 +315,8 @@ def _load_y_by_rows(path) -> np.ndarray:
                     raise ParseError(f"bad number {row[1]!r}", lineno) from None
                 if not math.isfinite(ys[-1]):
                     raise ParseError(f"non-finite number {row[1]!r}", lineno)
+    except csv.Error as err:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(str(err), reader.line_num) from None
     except UnicodeDecodeError:
         # the codec's offset counts from its read buffer, not the file, so
         # name the first line whose bytes do not survive a UTF-8 round trip

@@ -1,15 +1,14 @@
-"""Seeded random streams and the samplers behind every estimator.
+"""Seeded random streams and the samplers of the priors.
 
 Streams are counter-based (Philox) and keyed by (seed, stream index), so
 replications can be dealt out to workers in any order and still produce
 identical draws.  Normals come from Box-Muller on the stream's uniforms.
 
-The uniform-ellipsoid draw behind the ``ue`` rule is exact and consumes a
-fixed number of uniforms: a normalised Gaussian direction (Muller 1959;
-Marsaglia 1972) scaled to a uniform radius in the ball and mapped onto the
-ellipsoid.  The rejection samplers (box proposals on the ellipsoid, the
-truncated Gaussian) share one generic accept-reject loop, so the same seed
-always yields the same points regardless of how a sampler is composed.
+The exact uniform-ellipsoid draw takes a normalised Gaussian direction
+(Muller 1959; Marsaglia 1972) at a uniform radius in the ball, mapped onto
+the ellipsoid.  The rejection samplers share one accept-reject loop, so a
+seed yields the same points however a sampler is composed.  The ue, ueg
+and ge kernels take the same uniforms but score only the whitened radius.
 """
 
 from __future__ import annotations
@@ -77,6 +76,11 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     out[0::2] = r * np.cos(2.0 * np.pi * u2)
     out[1::2] = r * np.sin(2.0 * np.pi * u2)
     return out[:n].reshape(shape)
+
+
+def skip_uniforms(rng: np.random.Generator, n: int) -> None:
+    """Advance rng as rng.random(n) would: a double takes one 64-bit word."""
+    rng.bit_generator.random_raw(n, output=False)
 
 
 def accept_reject(rng: np.random.Generator, propose, density_ratio, m: int) -> SampleBatch:

@@ -90,3 +90,6 @@ class ConstantLikelihood(FitStub):
     def log_likelihood_batch(self, thetas):
         t = np.asarray(thetas)
         return np.full(t.shape[0], self.max_loglik)
+
+    def log_likelihood_radial(self, q):
+        return np.full(np.shape(q), self.max_loglik)

@@ -6,6 +6,7 @@ from scipy.stats import multivariate_normal
 
 from conftest import TRUE_COEFFS, ConstantLikelihood, trapezoid_log_integral
 from mcselect.estimators import (
+    _log_mean_and_se,
     aic,
     bic,
     ge_estimate,
@@ -22,9 +23,16 @@ from mcselect.regions import (
     build_ellipsoid,
     default_mu,
     ellipsoid_log_volume,
+    mahalanobis_sq,
     partition,
 )
-from mcselect.sampling import random_stream, sample_uniform_box
+from mcselect.sampling import (
+    random_stream,
+    sample_ellipsoid_direct,
+    sample_gaussian,
+    sample_truncated_gaussian,
+    sample_uniform_box,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -253,6 +261,98 @@ class TestUegExactness:
         ue = ue_estimate(random_stream(37, 0), cubic_fit, e, 4_000)
         ueg = ueg_estimate(random_stream(37, 1), cubic_fit, e, 4_000)
         assert abs(ue.log_value - ueg.log_value) < 4.0 * ue.mc_std_error_log
+
+
+def _log_mean_and_se_reference(log_weights):
+    """_log_mean_and_se through np.max, np.mean and np.std."""
+    shift = float(np.max(log_weights))
+    if shift == -math.inf:
+        return -math.inf, 0.0
+    w = np.exp(log_weights - shift)
+    mean_w = float(np.mean(w))
+    log_mean = shift + math.log(mean_w)
+    se = float(np.std(w, ddof=1)) / (mean_w * math.sqrt(w.size))
+    return log_mean, se
+
+
+class TestLogMeanAndSe:
+    def test_bit_identical_to_numpy_wrappers(self):
+        rng = random_stream(53, 0)
+        for trial in range(600):
+            n = (2, 3, 7, 64, 1000, 21_000)[trial % 6]
+            scale = 10.0 ** rng.integers(-3, 4)
+            log_w = rng.normal(-100.0 * rng.random(), scale, n)
+            if trial % 5 == 0:
+                log_w[rng.integers(n)] = -math.inf
+            if trial % 7 == 0:
+                log_w[:] = log_w[0]
+            assert _log_mean_and_se(log_w) == _log_mean_and_se_reference(log_w)
+
+    def test_all_zero_weights(self):
+        assert _log_mean_and_se(np.full(4, -math.inf)) == (-math.inf, 0.0)
+
+
+def _gaussian_log_density(e, points):
+    """log N(points; center, J^-1), with (1/2) log det J = sum log diag L."""
+    half_log_det = float(np.sum(np.log(np.diag(e.chol))))
+    return half_log_det - 0.5 * e.dim * LOG_2PI - 0.5 * mahalanobis_sq(e, points)
+
+
+def _ue_theta(rng, model, e, m):
+    points = sample_ellipsoid_direct(rng, e, m).points
+    return _log_mean_and_se_reference(model.log_likelihood_batch(points))
+
+
+def _ueg_theta(rng, model, e, m):
+    points = sample_gaussian(rng, e, m).points
+    log_w = model.log_likelihood_batch(points) - _gaussian_log_density(e, points)
+    log_mean, se = _log_mean_and_se_reference(log_w)
+    return math.log(chi2_cdf(e.dim, e.radius)) - ellipsoid_log_volume(e) + log_mean, se
+
+
+def _ge_theta(rng, model, e, m):
+    points = sample_truncated_gaussian(rng, e, m).points
+    return _log_mean_and_se_reference(model.log_likelihood_batch(points))
+
+
+@pytest.fixture(scope="module")
+def fits_by_n_and_dim():
+    """Fits of orders 1..8 to one simulated dataset at each N in 20, 100, 1000."""
+    fits = {}
+    for n in (20, 100, 1000):
+        data = generate_data(random_stream(814, n), 4, TRUE_COEFFS, 1.0, n)
+        fits.update({(n, d): fit(data, polynomial_regressors(n, d)) for d in range(1, 9)})
+    return fits
+
+
+class TestRadialKernels:
+    """ue, ueg and ge score the whitened distance q; their theta-space
+    references evaluate the likelihood at the points of the samplers that
+    take the same uniforms, so value and stream position must agree."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("n", [20, 100, 1000])
+    def test_match_theta_space(self, fits_by_n_and_dim, n, d):
+        f = fits_by_n_and_dim[(n, d)]
+        e = build_ellipsoid(f, default_mu(d))
+        kernels = ((ue_estimate, _ue_theta), (ueg_estimate, _ueg_theta), (ge_estimate, _ge_theta))
+        for k, (kernel, reference) in enumerate(kernels):
+            for m in (2, 333, 1000):
+                index = ((n * 10 + d) * 10 + k) * 10_000 + m
+                rng, ref_rng = random_stream(54, index), random_stream(54, index)
+                est = kernel(rng, f, e, m)
+                want, want_se = reference(ref_rng, f, e, m)
+                assert abs(est.log_value - want) <= 1e-12 * max(1.0, abs(want))
+                assert abs(est.mc_std_error_log - want_se) <= 1e-10
+                assert est.samples_used == m
+                assert rng.random() == ref_rng.random()
+
+    def test_ueg_is_its_closed_form(self, cubic_fit):
+        e = build_ellipsoid(cubic_fit, default_mu(4))
+        est = ueg_estimate(random_stream(55, 0), cubic_fit, e, 500)
+        want = _ue_exact_log(cubic_fit, e)
+        assert abs(est.log_value - want) <= 1e-12 * abs(want)
+        assert est.mc_std_error_log == 0.0
 
 
 class TestPriorOrdering:

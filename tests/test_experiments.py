@@ -227,6 +227,41 @@ class TestConfigValidation:
         assert json.loads(proc.stdout) == want
 
 
+    def test_samples_cap_in_a_child(self):
+        # the cap must act before stratification_segments, which raises
+        # OverflowError at 10**400; the child turns a hang into a timeout
+        src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+        code = """if True:
+            import json
+            from mcselect.experiments import MAX_SAMPLES, config_from_dict
+            base = {"sigma2": 1.0, "max_order": 3, "n_values": [40], "replications": 2,
+                    "true_order": 2, "true_coefficients": [0.4, -0.2],
+                    "coef_draws": 2, "coef_halfwidth": 0.5}
+            out = []
+            for kind in ("fixed", "random", "select"):
+                for rules in (["aic"], ["aic", "ub-strat"]):
+                    for samples in (MAX_SAMPLES, MAX_SAMPLES + 1, 10**400):
+                        raw = dict(base, experiment=kind, rules=rules, samples=samples)
+                        try:
+                            out.append(config_from_dict(raw).samples == samples)
+                        except ValueError as err:  # ConfigError, PartitionTooLarge
+                            out.append(f"{type(err).__name__}: {err}")
+            print(json.dumps(out))
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        cap = experiments.MAX_SAMPLES
+        over = [f"ConfigError: samples must be <= {cap}, got {v}" for v in (cap + 1, 10**400)]
+        # 464 segments per axis for 10**8 draws at order 3
+        strat = ("PartitionTooLarge: 464^3 sub-boxes exceeds the cap of 1000000; "
+                 "lower stratification_segments or max_order")
+        want = [True, *over, strat, *over] * 3
+        assert json.loads(proc.stdout) == want
+
+
 class TestRunFixed:
     def test_deterministic_and_tallies(self):
         cfg = fixed_config()

@@ -403,6 +403,20 @@ class TestCsvRoundTrip:
         with pytest.raises(FileNotFoundError):
             load_dataset_y(tmp_path / "absent.csv")
 
+    def test_quoted_field_over_csv_limit(self, tmp_path):
+        # csv caps a field at 131 072 characters; its error names the line
+        path = tmp_path / "long.csv"
+        path.write_text('t,y\n1,0.5\n2,"0.' + "0" * 199_997 + '5"\n3,1.0\n')
+        with pytest.raises(ParseError, match=r"^line 3: field larger than field limit") as err:
+            load_dataset_y(path)
+        assert err.value.line == 3
+
+    def test_unquoted_field_over_csv_limit_takes_the_fast_path(self, tmp_path):
+        # the C-level pass has no field limit, so the plain form still loads
+        path = tmp_path / "long.csv"
+        path.write_text("t,y\n1,0.5\n2,0." + "0" * 199_997 + "5\n3,1.0\n")
+        assert load_dataset_y(path).tolist() == [0.5, float("0." + "0" * 199_997 + "5"), 1.0]
+
 
 def _outcome(load, path):
     """y's float64 bits, or the exception's type, message and line."""

@@ -16,6 +16,7 @@ from mcselect.sampling import (
     sample_truncated_gaussian,
     sample_uniform_box,
     sample_uniform_ellipsoid,
+    skip_uniforms,
     standard_normal,
 )
 
@@ -40,6 +41,20 @@ class TestRandomStream:
             random_stream(0, 2**64)
         with pytest.raises(ValueError):
             random_stream("seed", 0)
+
+
+class TestSkipUniforms:
+    @pytest.mark.parametrize("offset", range(8))
+    def test_same_state_as_drawing(self, offset):
+        # Philox hands out 64-bit words four at a time, so offsets 0..7 put
+        # the skip at every position of its buffer, twice
+        for n in [*range(10), 999, 6000, 6001]:
+            drawn, skipped = random_stream(77, n), random_stream(77, n)
+            drawn.random(offset)
+            skipped.random(offset)
+            drawn.random(n)
+            skip_uniforms(skipped, n)
+            assert np.array_equal(drawn.random(9), skipped.random(9))
 
 
 class TestStandardNormal:
