@@ -3,14 +3,19 @@
 Each Monte-Carlo estimator averages likelihood values (or importance
 weights) over draws from a data-centered prior and reports the result in
 the log domain together with a delta-method standard error of the log.
-ue, ueg and ge work on the whitened squared distance q alone (see
-FittedModel.log_likelihood_radial), so e must be build_ellipsoid(model, mu):
+Every rule works on the whitened squared distance q alone (see
+FittedModel.log_likelihood_radial), so an ellipsoid e must be
+build_ellipsoid(model, mu) and a box must be centered on theta_hat:
 
     ue        uniform prior on the concentration ellipsoid
     ueg       same prior, importance-sampled from N(theta_hat, J^-1): closed form
     ge        Gaussian prior truncated to the ellipsoid
     ub        uniform prior on the ellipsoid's bounding box
     ub-strat  ub with the box split into equal-mass strata
+
+ub is the one-stratum case of ub-strat's kernel, which runs on a
+WhitenedBox.  A cell builds its boxes once; a theta-space Box or
+BoxPartition is whitened at each call by regions.whitened.
 
 aic/bic score -2 max_loglik + gamma * dim with gamma = 2 and log N.
 """
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import chi2_cdf
-from .regions import Box, BoxPartition, Ellipsoid, ellipsoid_log_volume
-from .sampling import accept_reject, sample_uniform_box, skip_uniforms, standard_normal
+from .regions import Ellipsoid, WhitenedBox, ellipsoid_log_volume, whitened
+from .sampling import accept_reject, skip_uniforms, standard_normal_sq
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -121,37 +126,39 @@ def ueg_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
 
 def ge_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
     """Average likelihood under the truncated-Gaussian prior: the rejection
-    loop of sample_truncated_gaussian on its whitened proposals z ~ N(0, I_d),
-    kept when q = |z|^2 <= mu; e must be build_ellipsoid(model, mu)."""
+    loop of sample_truncated_gaussian on the squared norms q = |z|^2 of its
+    whitened proposals z ~ N(0, I_d), kept when q <= mu; e must be
+    build_ellipsoid(model, mu)."""
     _check_samples(m)
     d, mu = e.dim, e.radius
-    batch = accept_reject(rng, lambda r, k: standard_normal(r, (k, d)),
-                          lambda z: np.einsum("ij,ij->i", z, z) <= mu, m)
-    q = np.einsum("ij,ij->i", batch.points, batch.points)
-    log_mean, se = _log_mean_and_se(model.log_likelihood_radial(q))
+    batch = accept_reject(rng, lambda r, k: standard_normal_sq(r, k, d)[:, None],
+                          lambda q: q[:, 0] <= mu, m)
+    log_mean, se = _log_mean_and_se(model.log_likelihood_radial(batch.points[:, 0]))
     return MarginalEstimate(log_mean, se, m, "ge")
 
 
-def ub_estimate(rng, model, box: Box, m: int) -> MarginalEstimate:
-    """Average likelihood over a uniform draw on the bounding box."""
-    _check_samples(m)
-    batch = sample_uniform_box(rng, box, m)
-    log_mean, se = _log_mean_and_se(model.log_likelihood_batch(batch.points))
-    return MarginalEstimate(log_mean, se, m, "ub")
+def ub_estimate(rng, model, box, m: int) -> MarginalEstimate:
+    """Average likelihood over a uniform draw on the bounding box: a
+    WhitenedBox of one segment, or a Box."""
+    return _box_estimate(rng, model, whitened(box, model.theta_hat, model.chol), m, "ub")
 
 
 def _strata_var(w: np.ndarray, weight: float) -> np.ndarray:
-    """Variance term (weight sd / sqrt(n))^2 of each row's mean; w is (strata, n)."""
-    return (weight * np.std(w, axis=1, ddof=1) / math.sqrt(w.shape[1])) ** 2
+    """Variance term (weight sd / sqrt(n))^2 of each row's mean; w is (strata, n).
+    The reductions of np.std(w, axis=1, ddof=1), without its wrapper."""
+    n = w.shape[1]
+    dev = w - np.add.reduce(w, axis=1, keepdims=True) / n
+    sd = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1))
+    return (weight * sd / math.sqrt(n)) ** 2
 
 
-def ub_stratified_estimate(rng, model, part: BoxPartition, m: int) -> MarginalEstimate:
-    """Stratified version of ub_estimate over an equal-mass partition.
+def ub_stratified_estimate(rng, model, part, m: int) -> MarginalEstimate:
+    """Stratified version of ub_estimate over an equal-mass partition: a
+    WhitenedBox or a BoxPartition.
 
     Each of the K strata gets max(1, round(m/K)) draws; stratum means are
     combined with weight 1/K, which can only reduce the variance relative
-    to pooling the same draws.  A single-stratum partition reproduces
-    ub_estimate draw for draw.
+    to pooling the same draws.  A single-stratum partition is ub_estimate.
 
     The draws come from one (K * per, d) block of uniforms, stratum after
     stratum, and the sums run in stratum order.  With one draw per stratum
@@ -160,19 +167,28 @@ def ub_stratified_estimate(rng, model, part: BoxPartition, m: int) -> MarginalEs
     odd) are treated as strata, which overstates the variance by the spread
     between their means instead of reporting zero.
     """
+    return _box_estimate(rng, model, whitened(part, model.theta_hat, model.chol), m, "ub-strat")
+
+
+def _box_estimate(rng, model, box: WhitenedBox, m: int, method: str) -> MarginalEstimate:
+    """The box rules on the whitened box: stratum k's draws are z = u scale +
+    corners[k], scored by q = |z|^2; only the collapse checks see theta_hat."""
     _check_samples(m)
-    mass = part.mass
-    K = part.count
+    box.check(model.theta_hat)
+    K = box.corners.shape[0]
+    mass = 1.0 / K
     per = max(1, round(mass * m))
-    lo, hi = part.bounds()
-    points = rng.random((K * per, part.box.dim))
-    points *= np.repeat(hi - lo, per, axis=0)
-    points += np.repeat(lo, per, axis=0)
-    ll = model.log_likelihood_batch(points)
+    d = box.lo.size
+    z = (rng.random((K * per, d)) @ box.scale).reshape(K, per, d)
+    z += box.corners[:, None, :]
+    q = np.square(z, out=z).reshape(-1, d) @ np.ones(d)  # BLAS row sums, as in ge
+    ll = model.log_likelihood_radial(q.reshape(K, per))
+    if K == 1:  # the plain mean: one stratum, so no strata to combine
+        return MarginalEstimate(*_log_mean_and_se(ll[0]), per, method)
     shift = float(np.max(ll))
     if shift == -math.inf:
-        return MarginalEstimate(-math.inf, 0.0, per * K, "ub-strat")
-    w = np.exp(ll - shift).reshape(K, per)
+        return MarginalEstimate(-math.inf, 0.0, per * K, method)
+    w = np.exp(ll - shift)
     total = float(np.cumsum(mass * np.mean(w, axis=1))[-1])
     if per >= 2:
         terms = _strata_var(w, mass)
@@ -185,7 +201,7 @@ def ub_stratified_estimate(rng, model, part: BoxPartition, m: int) -> MarginalEs
     var_total = float(np.cumsum(terms)[-1])
     log_value = shift + math.log(total)
     se = math.sqrt(var_total) / total
-    return MarginalEstimate(log_value, se, per * K, "ub-strat")
+    return MarginalEstimate(log_value, se, per * K, method)
 
 
 def stratification_segments(m: int, max_dim: int) -> int:

@@ -40,10 +40,8 @@ from .regions import (
     PARTITION_CAP,
     BoxCollapsed,
     PartitionTooLarge,
-    bounding_box,
     build_ellipsoid,
     default_mu,
-    partition,
 )
 from .sampling import AcceptanceTooLow, random_stream
 from .selection import SelectionOutcome, select_criterion, select_map
@@ -54,9 +52,21 @@ def _ellipsoid(f, c):
     return build_ellipsoid(f, c.mu_for(f.dim))
 
 
+def _box(f, c, segments):
+    """The fit's whitened bounding box, from its cell's cached design.  The
+    box is whitened by the design's factor, so f must be a fit_nested fit on
+    that design, whose factor is a view of the design's."""
+    design = polynomial_design(f.data.n_points, c.max_order, f.data.noise_variance)
+    if not np.may_share_memory(f.chol, design.chol):
+        raise ValueError(f"order {f.dim}: the box rules score fits of their cell's design")
+    return design.box(f.dim, c.mu_for(f.dim), segments)
+
+
 # rule -> scorer(rng, fit, config).  Criterion rules return a CriterionScore
 # and ignore the stream; the rest build the region their prior lives on
-# from the fit and return a MarginalEstimate.  Estimators and region
+# from the fit and return a MarginalEstimate; the box rules take their
+# cell's whitened box, built once per design, so they need a fit of that
+# design (fit_nested on polynomial_design).  Estimators and region
 # builders are looked up by name at call time, so a wrapper patched onto
 # this module (a tracer, a test double) sees every call.  A collapsed box
 # excludes only the rule that built it.
@@ -66,9 +76,9 @@ RULES = {
     "ue": lambda rng, f, c: ue_estimate(rng, f, _ellipsoid(f, c), c.samples),
     "ueg": lambda rng, f, c: ueg_estimate(rng, f, _ellipsoid(f, c), c.samples),
     "ge": lambda rng, f, c: ge_estimate(rng, f, _ellipsoid(f, c), c.samples),
-    "ub": lambda rng, f, c: ub_estimate(rng, f, bounding_box(_ellipsoid(f, c)), c.samples),
+    "ub": lambda rng, f, c: ub_estimate(rng, f, _box(f, c, 1), c.samples),
     "ub-strat": lambda rng, f, c: ub_stratified_estimate(
-        rng, f, partition(bounding_box(_ellipsoid(f, c)), c.strat_segments()), c.samples
+        rng, f, _box(f, c, c.strat_segments()), c.samples
     ),
 }
 VALID_EXPERIMENTS = ("fixed", "random", "select")

@@ -20,13 +20,16 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import mmap
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
 from .numerics import DimensionMismatch, NotPositiveDefinite
+from .regions import WhitenedBox, box_halfwidths, whiten_box
 from .sampling import standard_normal
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -159,10 +162,20 @@ class Design:
     chol_inv: np.ndarray
     sigma2: float
     width: int
+    _boxes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
+
+    def box(self, order: int, mu: float, segments: int) -> WhitenedBox:
+        """The whitened bounding box of an order's ellipsoid at radius mu,
+        split into segments per axis; built once and dropped with the design."""
+        key = (order, mu, segments)
+        if key not in self._boxes:
+            half = box_halfwidths(self.chol_inv[:order, :order], mu)
+            self._boxes[key] = whiten_box(-half, half, self.chol[:order, :order], segments)
+        return self._boxes[key]
 
 
 def build_design(regressors: np.ndarray, sigma2: float) -> Design:
@@ -279,9 +292,10 @@ def _parse_plain(fh) -> np.ndarray | None:
     row loop could decide otherwise: a blank first line, a row without
     exactly two fields that loadtxt reads as numbers (so no quotes, `1_0`
     or non-ASCII digits, and with comments=None no `0.5#c`), fewer than two
-    rows, or a non-finite y.  Universal newlines turn CRLF and CR into LF,
-    and loadtxt gives y float()'s bits.  A pipe is left unread for the loop."""
-    if not fh.seekable():
+    rows, a non-finite y, or a line that may hold a field over the csv
+    module's limit.  Universal newlines turn CRLF and CR into LF, and
+    loadtxt gives y float()'s bits.  A pipe is left unread for the loop."""
+    if not (fh.seekable() and _within_field_limit(fh.fileno())):
         return None
     first = fh.readline()
     if not first.strip():
@@ -294,6 +308,20 @@ def _parse_plain(fh) -> np.ndarray | None:
     if rows.shape[0] < 2 or rows.shape[1] != 2 or not np.isfinite(rows[:, 1]).all():
         return None
     return rows[:, 1].copy()
+
+
+def _within_field_limit(fd: int) -> bool:
+    """No run of limit + 1 bytes without a line break, so no field over
+    csv.field_size_limit() characters: every aligned block of limit // 2 + 1
+    bytes holds a break.  memchr finds one within a line of each block's
+    start, so this reads a page per block, not the file."""
+    block = csv.field_size_limit() // 2 + 1
+    size = os.fstat(fd).st_size
+    if size < 2 * block - 1:
+        return True
+    with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as mm:
+        return all(mm.find(b"\n", i, i + block) >= 0 or mm.find(b"\r", i, i + block) >= 0
+                   for i in range(0, size - block + 1, block))
 
 
 def _load_y_by_rows(path) -> np.ndarray:

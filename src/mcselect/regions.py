@@ -6,6 +6,10 @@ with J the observed information.  The ellipsoid takes the fitted model's
 Cholesky factor L of J and L^-1 instead of factoring or solving again.  The
 axis-aligned bounding box has halfwidth sqrt(mu * (J^-1)_kk) along axis k,
 and can be split into equal segments per axis for stratified sampling.
+A WhitenedBox holds such a split as seen from the center in the whitened
+frame z = (theta - center) L, where the likelihood is a function of |z|^2
+alone; its shape depends on L and mu, not on the center, so a cell builds
+it once and only the collapse checks run at each center.
 """
 
 from __future__ import annotations
@@ -128,17 +132,26 @@ class Box:
         return float(np.sum(np.log(self.widths)))
 
 
+def box_halfwidths(chol_inv: np.ndarray, mu: float) -> np.ndarray:
+    """sqrt(mu (J^-1)_kk) per axis: J^-1 = L^-T L^-1 makes (J^-1)_kk the sum
+    of squares of column k of L^-1."""
+    return np.sqrt(mu * np.sum(chol_inv * chol_inv, axis=0))
+
+
+def _require_width(lo, hi, what: str) -> None:
+    if not np.all(hi > lo):
+        raise BoxCollapsed(f"order {lo.shape[-1]}: {what} is below float64 resolution")
+
+
 def bounding_box(e: Ellipsoid) -> Box:
     """Tightest axis-aligned box around the ellipsoid.
 
-    Along axis k the ellipsoid reaches center_k +- sqrt(mu (J^-1)_kk), and
-    J^-1 = L^-T L^-1 makes (J^-1)_kk the sum of squares of column k of L^-1.
+    Along axis k the ellipsoid reaches center_k +- sqrt(mu (J^-1)_kk).
     Raises BoxCollapsed when a halfwidth vanishes against the center.
     """
-    half = np.sqrt(e.radius * np.sum(e.chol_inv * e.chol_inv, axis=0))
+    half = box_halfwidths(e.chol_inv, e.radius)
     lo, hi = e.center - half, e.center + half
-    if not np.all(hi > lo):
-        raise BoxCollapsed(f"order {e.dim}: the bounding box is below float64 resolution")
+    _require_width(lo, hi, "the bounding box")
     return Box(lo, hi)
 
 
@@ -163,23 +176,11 @@ class BoxPartition:
     def mass(self) -> float:
         return 1.0 / self.count
 
-    def _interpolate(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # interpolate between the parent bounds so neighbouring sub-boxes
-        # share edges exactly and the outer faces coincide with the parent
-        L = self.segments
-        f0 = idx / L
-        f1 = (idx + 1.0) / L
-        lo = self.box.lo * (1.0 - f0) + self.box.hi * f0
-        hi = self.box.lo * (1.0 - f1) + self.box.hi * f1
-        if not np.all(hi > lo):
-            raise BoxCollapsed(f"order {self.box.dim}: a sub-box is below float64 resolution")
-        return lo, hi
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of every sub-box, each of shape (count, dim), in index order."""
         d, L = self.box.dim, self.segments
         idx = np.indices((L,) * d, dtype=float).reshape(d, -1).T
-        return self._interpolate(idx)
+        return _sub_bounds(self.box.lo, self.box.hi, idx, L)
 
     def sub_box(self, k: int) -> Box:
         if not 0 <= k < self.count:
@@ -187,11 +188,21 @@ class BoxPartition:
         d, L = self.box.dim, self.segments
         if L == 1:
             return self.box
-        idx = np.empty(d, dtype=float)
-        for axis in range(d - 1, -1, -1):
-            idx[axis] = k % L
-            k //= L
-        return Box(*self._interpolate(idx))
+        idx = np.array(np.unravel_index(k, (L,) * d), dtype=float)
+        return Box(*_sub_bounds(self.box.lo, self.box.hi, idx, L))
+
+
+def _sub_bounds(lo, hi, idx, segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the sub-boxes with per-axis indices idx of [lo, hi] split
+    into segments per axis.  They interpolate between the parent bounds, so
+    neighbouring sub-boxes share edges exactly and the outer faces coincide
+    with the parent's."""
+    f0 = idx / segments
+    f1 = (idx + 1.0) / segments
+    sub_lo = lo * (1.0 - f0) + hi * f0
+    sub_hi = lo * (1.0 - f1) + hi * f1
+    _require_width(sub_lo, sub_hi, "a sub-box")
+    return sub_lo, sub_hi
 
 
 def partition(box: Box, segments: int) -> BoxPartition:
@@ -204,3 +215,47 @@ def partition(box: Box, segments: int) -> BoxPartition:
             f"{segments}^{box.dim} = {count} sub-boxes exceeds the cap of {PARTITION_CAP}"
         )
     return BoxPartition(box=box, segments=segments)
+
+
+@dataclass(frozen=True)
+class WhitenedBox:
+    """A box center + [lo, hi] split into segments^dim equal strata, in the
+    whitened frame z = (theta - center) L.  A uniform u on the unit cube maps
+    to z = u scale + corners[k] in stratum k (row-major order, as in
+    BoxPartition), with scale = diag((hi - lo) / segments) L.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    segments: int
+    scale: np.ndarray = field(repr=False)
+    corners: np.ndarray = field(repr=False)
+
+    def check(self, center: np.ndarray) -> None:
+        """bounding_box's and BoxPartition.bounds()'s BoxCollapsed checks at
+        this center.  A sub-box's bounds along an axis depend only on its
+        index there, so the sub-box check runs on segments x dim bounds."""
+        lo, hi = center + self.lo, center + self.hi
+        _require_width(lo, hi, "the bounding box")
+        _sub_bounds(lo, hi, np.arange(float(self.segments))[:, None], self.segments)
+
+
+def whiten_box(lo: np.ndarray, hi: np.ndarray, chol: np.ndarray, segments: int) -> WhitenedBox:
+    """The strata of the box center + [lo, hi] under J = L L'; the bounding
+    box of an ellipsoid at radius mu is lo = -half, hi = half with half =
+    box_halfwidths(L^-1, mu)."""
+    d = lo.size
+    step = (hi - lo) / segments
+    idx = np.indices((segments,) * d, dtype=float).reshape(d, -1).T
+    corners = np.einsum("ij,jk->ik", lo + idx * step, chol)
+    return WhitenedBox(lo, hi, segments, step[:, None] * chol, corners)
+
+
+def whitened(region, center: np.ndarray, chol: np.ndarray) -> WhitenedBox:
+    """region as a WhitenedBox about center under J = L L'.  A WhitenedBox is
+    returned as it is; a theta-space BoxPartition goes through whiten_box,
+    and a Box as its one-segment partition."""
+    if isinstance(region, WhitenedBox):
+        return region
+    part = region if isinstance(region, BoxPartition) else BoxPartition(region, 1)
+    return whiten_box(part.box.lo - center, part.box.hi - center, chol, part.segments)

@@ -8,7 +8,8 @@ The exact uniform-ellipsoid draw takes a normalised Gaussian direction
 (Muller 1959; Marsaglia 1972) at a uniform radius in the ball, mapped onto
 the ellipsoid.  The rejection samplers share one accept-reject loop, so a
 seed yields the same points however a sampler is composed.  The ue, ueg
-and ge kernels take the same uniforms but score only the whitened radius.
+and ge kernels take the same uniforms but score only the whitened radius:
+ge's proposals are the row norms of standard_normal_sq.
 """
 
 from __future__ import annotations
@@ -78,6 +79,24 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     return out[:n].reshape(shape)
 
 
+def standard_normal_sq(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
+    """|z|^2 of each row of z = standard_normal(rng, (rows, d)), from the same
+    uniforms.  A Box-Muller pair's squares sum to r^2 = -2 log(1 - U1), so an
+    even d skips the angle block and an odd d takes one cos^2 per pair.
+    """
+    pairs = (rows * d + 1) // 2
+    sq = -2.0 * np.log(1.0 - rng.random(pairs))
+    if d % 2:
+        # a row ends inside a pair: split each r^2 into its two squares
+        cos_sq = sq * np.cos(2.0 * np.pi * rng.random(pairs)) ** 2
+        sq = np.stack((cos_sq, sq - cos_sq), axis=1).ravel()[: rows * d]
+    else:
+        skip_uniforms(rng, pairs)
+    sq = sq.reshape(rows, -1)
+    # a BLAS row sum: np.add.reduce over a short axis costs several times more
+    return sq @ np.ones(sq.shape[1])
+
+
 def skip_uniforms(rng: np.random.Generator, n: int) -> None:
     """Advance rng as rng.random(n) would: a double takes one 64-bit word."""
     rng.bit_generator.random_raw(n, output=False)
@@ -87,8 +106,9 @@ def accept_reject(rng: np.random.Generator, propose, density_ratio, m: int) -> S
     """Draw m points: accept a proposal theta with probability density_ratio(theta).
 
     propose(rng, k) must return a (k, d) block; density_ratio maps such a
-    block to values in [0, 1].  Raises AcceptanceTooLow if, after
-    WARMUP_PROPOSALS proposals, fewer than ACCEPTANCE_FLOOR of them stuck.
+    block to values in [0, 1] (an indicator may return booleans).  Raises
+    AcceptanceTooLow if, after WARMUP_PROPOSALS proposals, fewer than
+    ACCEPTANCE_FLOOR of them stuck.
     """
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
@@ -103,10 +123,12 @@ def accept_reject(rng: np.random.Generator, propose, density_ratio, m: int) -> S
         ratio = np.asarray(density_ratio(points), dtype=float)
         if ratio.shape != (block,):
             raise ValueError(f"density ratio returned shape {ratio.shape} for block {block}")
-        if np.any(ratio > 1.0 + _RATIO_TOL) or np.any(ratio < -_RATIO_TOL):
+        if ratio.max() > 1.0 + _RATIO_TOL or ratio.min() < -_RATIO_TOL:
             bad = ratio[(ratio > 1.0 + _RATIO_TOL) | (ratio < -_RATIO_TOL)][0]
             raise ValueError(f"density ratio {bad:g} outside [0, 1]")
-        keep = rng.random(block) < np.clip(ratio, 0.0, 1.0)
+        # u in [0, 1) keeps the same points as against the ratio clipped to
+        # [0, 1]: a ratio within the tolerance above 1 always, below 0 never
+        keep = rng.random(block) < ratio
         if np.any(keep):
             kept.append(points[keep])
             accepted += int(np.count_nonzero(keep))

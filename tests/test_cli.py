@@ -106,6 +106,13 @@ class TestSelectCommand:
         assert code == 3
         assert "line 3: field larger than field limit" in capsys.readouterr().err
 
+    def test_unquoted_field_over_csv_limit_exit_3(self, tmp_path, select_config, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,y\n1,2.0\n2,0." + "0" * 199_997 + "5\n3,1.0\n")
+        code = main(["select", str(bad), "--config", str(select_config)])
+        assert code == 3
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "1e999"])
     def test_non_finite_data_exit_3(self, tmp_path, select_config, capsys, value):
         bad = tmp_path / "bad.csv"

@@ -7,6 +7,7 @@ from scipy.stats import multivariate_normal
 from conftest import TRUE_COEFFS, ConstantLikelihood, trapezoid_log_integral
 from mcselect.estimators import (
     _log_mean_and_se,
+    _strata_var,
     aic,
     bic,
     ge_estimate,
@@ -16,9 +17,10 @@ from mcselect.estimators import (
     ue_estimate,
     ueg_estimate,
 )
-from mcselect.models import fit, generate_data, polynomial_regressors
+from mcselect.models import build_design, fit, fit_nested, generate_data, polynomial_regressors
 from mcselect.numerics import chi2_cdf
 from mcselect.regions import (
+    BoxCollapsed,
     bounding_box,
     build_ellipsoid,
     default_mu,
@@ -379,8 +381,9 @@ class TestStratifiedUb:
         strat = ub_stratified_estimate(
             random_stream(41, 0), cubic_fit, partition(box, 1), 500
         )
+        # one code path: ub is the one-stratum case of the box kernel
         assert strat.log_value == plain.log_value
-        assert math.isclose(strat.mc_std_error_log, plain.mc_std_error_log, rel_tol=1e-12)
+        assert strat.mc_std_error_log == plain.mc_std_error_log
         assert strat.samples_used == plain.samples_used
 
     def test_reduces_variance(self, cubic_fit):
@@ -436,7 +439,21 @@ def _ub_strat_loop(rng, model, part, m):
     return shift + math.log(total), math.sqrt(var_total) / total, per * part.count
 
 
+def _assert_box_kernel_matches(est, want, want_se, want_used, rng, ref_rng):
+    """The whitened box kernel against its theta-space reference: tolerances
+    for the rounding of z = u scale + corner against theta - theta_hat, and
+    the same sample count and stream position."""
+    assert abs(est.log_value - want) <= 1e-12 * max(1.0, abs(want))
+    assert abs(est.mc_std_error_log - want_se) <= 1e-10
+    assert est.samples_used == want_used
+    assert rng.random() == ref_rng.random()
+
+
 class TestStratifiedVectorised:
+    """The vectorised kernel against the per-stratum loop.  The two tests
+    named bit_identical kept their names when the kernel moved to the
+    whitened frame; they now hold it to _assert_box_kernel_matches."""
+
     @pytest.mark.parametrize("per", [1, 2, 5])
     @pytest.mark.parametrize("d", range(1, 7))
     def test_bit_identical_to_loop(self, fits_by_dim, d, per):
@@ -444,17 +461,17 @@ class TestStratifiedVectorised:
         part = partition(bounding_box(build_ellipsoid(f, default_mu(d))), 3 if d <= 4 else 2)
         m = per * part.count
         for s in range(3):
-            want = _ub_strat_loop(random_stream(49, 10 * d + s), f, part, m)
-            est = ub_stratified_estimate(random_stream(49, 10 * d + s), f, part, m)
-            assert (est.log_value, est.mc_std_error_log, est.samples_used) == want
+            rng, ref_rng = random_stream(49, 10 * d + s), random_stream(49, 10 * d + s)
+            est = ub_stratified_estimate(rng, f, part, m)
+            _assert_box_kernel_matches(est, *_ub_strat_loop(ref_rng, f, part, m), rng, ref_rng)
 
     def test_default_design_bit_identical(self, fits_by_dim):
         # 1000 samples at order 6: 3 segments, 729 strata, one draw each
         f = fits_by_dim[6]
         part = partition(bounding_box(build_ellipsoid(f, default_mu(6))), 3)
-        want = _ub_strat_loop(random_stream(50, 0), f, part, 1000)
-        est = ub_stratified_estimate(random_stream(50, 0), f, part, 1000)
-        assert (est.log_value, est.mc_std_error_log, est.samples_used) == want
+        rng, ref_rng = random_stream(50, 0), random_stream(50, 0)
+        est = ub_stratified_estimate(rng, f, part, 1000)
+        _assert_box_kernel_matches(est, *_ub_strat_loop(ref_rng, f, part, 1000), rng, ref_rng)
 
     @pytest.mark.parametrize("segments", [2, 3])
     def test_one_draw_per_stratum_has_positive_se(self, cubic_fit, segments):
@@ -475,6 +492,98 @@ class TestStratifiedVectorised:
         sd = float(np.std([est.log_value for est in ests], ddof=1))
         mean_se = float(np.mean([est.mc_std_error_log for est in ests]))
         assert 0.8 * sd <= mean_se <= 3.0 * sd
+
+
+@pytest.fixture(scope="module")
+def designs_and_fits():
+    """Order-8 design and fits for one simulated dataset at each N."""
+    out = {}
+    for n in (20, 100, 1000, 50_000):
+        design = build_design(polynomial_regressors(n, 8), 1.0)
+        data = generate_data(random_stream(815, n), 4, TRUE_COEFFS, 1.0, n)
+        out[n] = design, fit_nested(data, design)
+    return out
+
+
+class TestWhitenedBoxKernel:
+    """ub and ub-strat on a cell's cached WhitenedBox against theta-space
+    references: sample_uniform_box then log_likelihood_batch for ub, the
+    per-stratum loop for ub-strat."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("n", [20, 100, 1000, 50_000])
+    def test_match_theta_space(self, designs_and_fits, n, d):
+        design, fits = designs_and_fits[n]
+        f = fits[d - 1]
+        mu = default_mu(d)
+        box = bounding_box(build_ellipsoid(f, mu))
+        for segments in (1, 2, 3):
+            part = partition(box, segments)
+            for per in (1, 2, 5):
+                m = per * part.count
+                if m < 2:
+                    continue
+                index = ((n * 10 + d) * 10 + segments) * 10 + per
+                rng, ref_rng = random_stream(56, index), random_stream(56, index)
+                est = ub_estimate(rng, f, design.box(d, mu, 1), m)
+                points = sample_uniform_box(ref_rng, box, m).points
+                want = _log_mean_and_se_reference(f.log_likelihood_batch(points))
+                _assert_box_kernel_matches(est, *want, m, rng, ref_rng)
+                rng, ref_rng = random_stream(57, index), random_stream(57, index)
+                est = ub_stratified_estimate(rng, f, design.box(d, mu, segments), m)
+                _assert_box_kernel_matches(est, *_ub_strat_loop(ref_rng, f, part, m), rng, ref_rng)
+
+
+def _collapse_reference(e, segments):
+    """The message bounding_box(e) or partition(box, segments).bounds() raises."""
+    try:
+        partition(bounding_box(e), segments).bounds()
+    except BoxCollapsed as err:
+        return str(err)
+    return None
+
+
+class TestCollapsePredicates:
+    def test_same_verdict_and_message_as_theta_space(self):
+        seen = set()
+        for n in (20, 100):
+            for k in range(20, 41):
+                sigma2 = 10.0**-k
+                design = build_design(polynomial_regressors(n, 6), sigma2)
+                data = generate_data(random_stream(816, 100 * n + k), 4, TRUE_COEFFS, sigma2, n)
+                for f in fit_nested(data, design):
+                    d, mu = f.dim, default_mu(f.dim)
+                    for segments in (1, 2, 3):
+                        want = _collapse_reference(build_ellipsoid(f, mu), segments)
+                        try:
+                            ub_stratified_estimate(
+                                random_stream(58, k), f, design.box(d, mu, segments), 4
+                            )
+                            got = None
+                        except BoxCollapsed as err:
+                            got = str(err)
+                        assert got == want, (n, k, d, segments)
+                        seen.add(want and ("sub-box" if "sub-box" in want else "box"))
+        # the grid reaches both checks and boxes that pass them
+        assert seen == {None, "box", "sub-box"}
+
+
+def _strata_var_reference(w, weight):
+    return (weight * np.std(w, axis=1, ddof=1) / math.sqrt(w.shape[1])) ** 2
+
+
+class TestStrataVar:
+    def test_bit_identical_to_np_std(self):
+        rng = random_stream(59, 0)
+        for trial in range(600):
+            strata = (1, 2, 3, 64, 243, 729)[trial % 6]
+            per = (2, 3, 5, 17, 100, 333)[(trial // 6) % 6]
+            # the kernel's weights: exp(ll - max ll), so in (0, 1]
+            w = np.exp(-np.abs(rng.normal(0.0, 10.0 ** rng.integers(-3, 3), (strata, per))))
+            if trial % 7 == 0:
+                w[:] = w[0, 0]
+            weight = 1.0 / strata * (1 + trial % 3)
+            assert np.array_equal(_strata_var(w, weight), _strata_var_reference(w, weight))
 
 
 class TestStratificationSegments:

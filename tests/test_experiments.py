@@ -417,8 +417,9 @@ class TestWorkerCap:
 class TestSharedFactor:
     """One design per cell (N, max_order, sigma2): its regressors and its one
     triangular inverse are built on the first dataset of the cell only.  No
-    Cholesky and no triangular solve run, and each Monte-Carlo rule builds
-    one ellipsoid per order, while aic and bic build none."""
+    Cholesky and no triangular solve run.  ue, ueg and ge build one
+    ellipsoid per order and dataset; ub and ub-strat build one whitened box
+    per order on the cell's first dataset only; aic and bic build neither."""
 
     def _count(self, monkeypatch, module, name, calls=None):
         calls = [] if calls is None else calls
@@ -431,15 +432,17 @@ class TestSharedFactor:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    @pytest.mark.parametrize("rules, ellipsoids", [
-        (["aic", "bic"], 0),
-        (["aic", "bic", "ub"], 6),
-        (["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"], 30),
+    @pytest.mark.parametrize("rules, ellipsoids, boxes", [
+        (["aic", "bic"], 0, 0),
+        (["aic", "bic", "ub"], 0, 6),
+        # 50 samples at max_order 6 leave ub-strat one segment: ub's boxes
+        (["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"], 18, 6),
     ])
-    def test_calls_per_dataset(self, monkeypatch, rules, ellipsoids):
+    def test_calls_per_dataset(self, monkeypatch, rules, ellipsoids, boxes):
         regressors = self._count(monkeypatch, models, "polynomial_regressors")
         designs = self._count(monkeypatch, models, "build_design")
         built = self._count(monkeypatch, experiments, "build_ellipsoid")
+        whitened = self._count(monkeypatch, models, "whiten_box")
         # the scipy attribute and every mcselect binding of each kernel, so a
         # module that imports one by name is counted too
         kernels = {}
@@ -460,15 +463,30 @@ class TestSharedFactor:
         models.polynomial_design.cache_clear()
         select_once(Dataset(np.sin(np.arange(100.0)), 1.0), config_from_dict(raw))
         assert counts() == (0, 1, 1, 0, 1)
-        assert len(built) == ellipsoids
-        # a second dataset of the same cell reuses the design
+        assert (len(built), len(whitened)) == (ellipsoids, boxes)
+        # a second dataset of the same cell reuses the design and its boxes
         select_once(Dataset(np.cos(np.arange(100.0)), 1.0), config_from_dict(raw))
         assert counts() == (0, 1, 1, 0, 1)
-        assert len(built) == 2 * ellipsoids
+        assert (len(built), len(whitened)) == (2 * ellipsoids, boxes)
         # a new sigma2 is a new cell: exactly one more design
         raw["sigma2"] = 0.37
         select_once(Dataset(np.sin(np.arange(100.0)), 0.37), config_from_dict(raw))
         assert counts() == (0, 2, 2, 0, 2)
+        assert len(whitened) == 2 * boxes
+
+    @pytest.mark.parametrize("rule", ["ub", "ub-strat"])
+    def test_box_rules_refuse_a_fit_of_another_design(self, rule):
+        # the cell's box is whitened by the cell design's factor, so a fit
+        # with its own factor would get another fit's box
+        cfg = config_from_dict({"experiment": "select", "sigma2": 1.0, "max_order": 3,
+                                "rules": [rule], "samples": 50, "seed": 3})
+        data = Dataset(np.sin(np.arange(40.0)), 1.0)
+        nested = models.fit_nested(data, models.polynomial_design(40, 3, 1.0))[1]
+        assert experiments.RULES[rule](random_stream(60, 0), nested, cfg).samples_used >= 1
+        own = models.fit(data, models.polynomial_regressors(40, 2))
+        np.testing.assert_array_equal(own.chol, nested.chol)
+        with pytest.raises(ValueError, match="^order 2: the box rules score fits of their"):
+            experiments.RULES[rule](random_stream(60, 0), own, cfg)
 
 
 class TestRunRandom:

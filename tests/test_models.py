@@ -411,11 +411,14 @@ class TestCsvRoundTrip:
             load_dataset_y(path)
         assert err.value.line == 3
 
-    def test_unquoted_field_over_csv_limit_takes_the_fast_path(self, tmp_path):
-        # the C-level pass has no field limit, so the plain form still loads
+    def test_unquoted_field_over_csv_limit(self, tmp_path):
+        # the line is too long for the C-level pass to rule the field out,
+        # so the row loop names it, as it does the quoted form
         path = tmp_path / "long.csv"
         path.write_text("t,y\n1,0.5\n2,0." + "0" * 199_997 + "5\n3,1.0\n")
-        assert load_dataset_y(path).tolist() == [0.5, float("0." + "0" * 199_997 + "5"), 1.0]
+        with pytest.raises(ParseError, match=r"^line 3: field larger than field limit") as err:
+            load_dataset_y(path)
+        assert err.value.line == 3
 
 
 def _outcome(load, path):
@@ -469,6 +472,14 @@ _EDGE_FILES = [
     ("header-only", b"t,y\n", False),
     ("one-row", b"t,y\n1,2\n", False),
     ("not-utf8", b"t,y\n1,0.5\n2,\xff0.25\n", False),
+    # over csv.field_size_limit() (131 072): refused by the loop, not loaded
+    ("long-y", b"t,y\n1,0.5\n2,0." + b"0" * 199_997 + b"5\n3,1\n", False),
+    ("long-y-cr-only", b"t,y\r1,0.5\r2,0." + b"0" * 199_997 + b"5\r3,1\r", False),
+    # a line over the limit whose fields are within it: loaded by the loop
+    ("long-line", b"t,y\n" + b"0" * 99_999 + b"1,0." + b"0" * 99_997 + b"5\n2,1\n", False),
+    # a file longer than the limit, in short lines, CR-only included
+    ("long-file", b"t,y\n" + b"1,0.5\n" * 30_000, True),
+    ("long-file-cr-only", b"t,y\r" + b"1,0.5\r" * 30_000, True),
 ]
 
 

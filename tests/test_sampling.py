@@ -18,6 +18,7 @@ from mcselect.sampling import (
     sample_uniform_ellipsoid,
     skip_uniforms,
     standard_normal,
+    standard_normal_sq,
 )
 
 
@@ -82,6 +83,25 @@ class TestStandardNormal:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             standard_normal(random_stream(5, 0), 0)
+
+
+class TestStandardNormalSq:
+    """Row norms of standard_normal's block from the Box-Muller radii: an even
+    d skips the angle uniforms, an odd d reads them (rows * d odd included);
+    the stream moves alike."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_row_norms(self, d):
+        for rows in (1, 2, 3, 63, 64, 333, 1000):
+            rng, ref_rng = random_stream(13, 10 * rows + d), random_stream(13, 10 * rows + d)
+            z = standard_normal(ref_rng, (rows, d))
+            want = np.einsum("ij,ij->i", z, z)
+            got = standard_normal_sq(rng, rows, d)
+            assert got.shape == (rows,)
+            # r^2 - r^2 cos^2 loses relative digits when sin^2 is tiny, not
+            # absolute ones
+            assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + want))
+            assert rng.random() == ref_rng.random()
 
 
 class TestAcceptReject:
