@@ -5,7 +5,7 @@
     mcselect sample-diag --config cfg.json [--out DIR]
 
 Exit codes: 0 success, 2 bad usage, config or --out, 3 unreadable data file,
-4 numerical failure (nothing selectable, rejection stalled).
+4 numerical failure (every rule excluded, or a sample-diag box collapsed).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .experiments import (
 )
 from .models import Dataset, ParseError, load_dataset_y
 from .regions import BoxCollapsed, PartitionTooLarge
-from .sampling import AcceptanceTooLow
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +181,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (NoViableCandidate, AcceptanceTooLow, BoxCollapsed) as err:
+    except (NoViableCandidate, BoxCollapsed) as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
 

@@ -4,8 +4,8 @@ Each Monte-Carlo estimator averages likelihood values (or importance
 weights) over draws from a data-centered prior and reports the result in
 the log domain together with a delta-method standard error of the log.
 Every rule works on the whitened squared distance q alone (see
-FittedModel.log_likelihood_radial), so an ellipsoid e must be
-build_ellipsoid(model, mu) and a box must be centered on theta_hat:
+FittedModel.log_likelihood_radial), so each takes only what fixes its
+prior there, with its signature (rng, model, prior, m):
 
     ue        uniform prior on the concentration ellipsoid
     ueg       same prior, importance-sampled from N(theta_hat, J^-1): closed form
@@ -13,9 +13,10 @@ build_ellipsoid(model, mu) and a box must be centered on theta_hat:
     ub        uniform prior on the ellipsoid's bounding box
     ub-strat  ub with the box split into equal-mass strata
 
-ub is the one-stratum case of ub-strat's kernel, which runs on a
-WhitenedBox.  A cell builds its boxes once; a theta-space Box or
-BoxPartition is whitened at each call by regions.whitened.
+ue, ueg and ge take the radius mu of the ellipsoid
+(theta - theta_hat)' J (theta - theta_hat) <= mu.  ub and ub-strat take
+the WhitenedBox of its bounding box (Design.box), of one segment for ub,
+which is the one-stratum case of ub-strat's kernel.
 
 aic/bic score -2 max_loglik + gamma * dim with gamma = 2 and log N.
 """
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import chi2_cdf
-from .regions import Ellipsoid, WhitenedBox, ellipsoid_log_volume, whitened
+from .numerics import chi2_cdf, unit_ball_volume
+from .regions import WhitenedBox
 from .sampling import accept_reject, skip_uniforms, standard_normal_sq
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -68,9 +69,13 @@ def bic(model, n_samples: int) -> CriterionScore:
     )
 
 
-def _check_samples(m: int) -> None:
+def _check(m: int, mu: float = 1.0) -> None:
+    """At least two draws and, for the rules that take one, a radius as
+    build_ellipsoid accepts it; the default stands in for the box rules."""
     if m < 2:
         raise ValueError(f"need at least 2 Monte-Carlo samples, got m={m}")
+    if not (mu > 0.0 and math.isfinite(mu)):
+        raise ValueError(f"mu must be positive and finite, got {mu}")
 
 
 def _log_mean_and_se(log_weights: np.ndarray) -> tuple[float, float]:
@@ -90,57 +95,59 @@ def _log_mean_and_se(log_weights: np.ndarray) -> tuple[float, float]:
     return shift + math.log(mean_w), sd / (mean_w * math.sqrt(n))
 
 
-def ue_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
-    """Average likelihood over a uniform draw on the ellipsoid.
+def ue_estimate(rng, model, mu: float, m: int) -> MarginalEstimate:
+    """Average likelihood over a uniform draw on the ellipsoid of radius mu.
 
-    With e = build_ellipsoid(model, mu), sample_ellipsoid_direct's point at
-    radius sqrt(mu) U^(1/d) has q = mu U^(2/d) whatever its direction, so its
-    2 ceil(m d / 2) direction uniforms are skipped and its m radii drawn.
+    sample_ellipsoid_direct's point at whitened radius sqrt(mu) U^(1/d) has
+    q = mu U^(2/d) whatever its direction, so its 2 ceil(m d / 2) direction
+    uniforms are skipped and its m radii drawn.
     """
-    _check_samples(m)
-    skip_uniforms(rng, 2 * ((m * e.dim + 1) // 2))
-    q = (math.sqrt(e.radius) * rng.random(m) ** (1.0 / e.dim)) ** 2
+    _check(m, mu)
+    d = model.dim
+    skip_uniforms(rng, 2 * ((m * d + 1) // 2))
+    q = (math.sqrt(mu) * rng.random(m) ** (1.0 / d)) ** 2
     log_mean, se = _log_mean_and_se(model.log_likelihood_radial(q))
     return MarginalEstimate(log_mean, se, m, "ue")
 
 
-def ueg_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
+def ueg_estimate(rng, model, mu: float, m: int) -> MarginalEstimate:
     """Importance-sampled uniform-ellipsoid estimate, in closed form.
 
     Draws from g = N(theta_hat, J^-1) without truncation would enter as
 
-        log p_hat = log rho - log vol(e) + log mean(p / g)
+        log p_hat = log F_d(mu) - log vol + log mean(p / g)
 
-    with rho the chi-square mass of the ellipsoid.  For the linear Gaussian
-    family and e = build_ellipsoid(model, mu), log(p / g) = mll - sum log
-    diag L + (d/2) log 2 pi at every draw, so the error is zero; the stream
-    skips sample_gaussian's m d normals.
+    with F_d the chi-square CDF, vol = mu^(d/2) V_d / sqrt(det J) and
+    log(p / g) = mll - log sqrt(det J) + (d/2) log 2 pi at every draw for
+    the linear Gaussian family.  det J cancels, so the error is zero and
+    the value is mll + log F_d(mu) - (d/2) log mu - log V_d + (d/2) log 2 pi;
+    the stream skips sample_gaussian's m d normals.
     """
-    _check_samples(m)
-    d = e.dim
+    _check(m, mu)
+    d = model.dim
     skip_uniforms(rng, 2 * ((m * d + 1) // 2))
-    log_w = model.max_loglik - float(np.sum(np.log(np.diag(e.chol)))) + 0.5 * d * LOG_2PI
-    log_value = math.log(chi2_cdf(d, e.radius)) - ellipsoid_log_volume(e) + log_w
+    log_value = (model.max_loglik + math.log(chi2_cdf(d, mu)) - 0.5 * d * math.log(mu)
+                 - math.log(unit_ball_volume(d)) + 0.5 * d * LOG_2PI)
     return MarginalEstimate(log_value, 0.0, m, "ueg")
 
 
-def ge_estimate(rng, model, e: Ellipsoid, m: int) -> MarginalEstimate:
-    """Average likelihood under the truncated-Gaussian prior: the rejection
-    loop of sample_truncated_gaussian on the squared norms q = |z|^2 of its
-    whitened proposals z ~ N(0, I_d), kept when q <= mu; e must be
-    build_ellipsoid(model, mu)."""
-    _check_samples(m)
-    d, mu = e.dim, e.radius
+def ge_estimate(rng, model, mu: float, m: int) -> MarginalEstimate:
+    """Average likelihood under the Gaussian prior truncated to the ellipsoid
+    of radius mu: the rejection loop of sample_truncated_gaussian on the
+    squared norms q = |z|^2 of its whitened proposals z ~ N(0, I_d), kept
+    when q <= mu."""
+    _check(m, mu)
+    d = model.dim
     batch = accept_reject(rng, lambda r, k: standard_normal_sq(r, k, d)[:, None],
                           lambda q: q[:, 0] <= mu, m)
     log_mean, se = _log_mean_and_se(model.log_likelihood_radial(batch.points[:, 0]))
     return MarginalEstimate(log_mean, se, m, "ge")
 
 
-def ub_estimate(rng, model, box, m: int) -> MarginalEstimate:
-    """Average likelihood over a uniform draw on the bounding box: a
-    WhitenedBox of one segment, or a Box."""
-    return _box_estimate(rng, model, whitened(box, model.theta_hat, model.chol), m, "ub")
+def ub_estimate(rng, model, box: WhitenedBox, m: int) -> MarginalEstimate:
+    """Average likelihood over a uniform draw on the bounding box, given as
+    its one-segment WhitenedBox."""
+    return _box_estimate(rng, model, box, m, "ub")
 
 
 def _strata_var(w: np.ndarray, weight: float) -> np.ndarray:
@@ -152,9 +159,8 @@ def _strata_var(w: np.ndarray, weight: float) -> np.ndarray:
     return (weight * sd / math.sqrt(n)) ** 2
 
 
-def ub_stratified_estimate(rng, model, part, m: int) -> MarginalEstimate:
-    """Stratified version of ub_estimate over an equal-mass partition: a
-    WhitenedBox or a BoxPartition.
+def ub_stratified_estimate(rng, model, box: WhitenedBox, m: int) -> MarginalEstimate:
+    """Stratified version of ub_estimate over the equal-mass strata of box.
 
     Each of the K strata gets max(1, round(m/K)) draws; stratum means are
     combined with weight 1/K, which can only reduce the variance relative
@@ -167,13 +173,13 @@ def ub_stratified_estimate(rng, model, part, m: int) -> MarginalEstimate:
     odd) are treated as strata, which overstates the variance by the spread
     between their means instead of reporting zero.
     """
-    return _box_estimate(rng, model, whitened(part, model.theta_hat, model.chol), m, "ub-strat")
+    return _box_estimate(rng, model, box, m, "ub-strat")
 
 
 def _box_estimate(rng, model, box: WhitenedBox, m: int, method: str) -> MarginalEstimate:
     """The box rules on the whitened box: stratum k's draws are z = u scale +
     corners[k], scored by q = |z|^2; only the collapse checks see theta_hat."""
-    _check_samples(m)
+    _check(m)
     box.check(model.theta_hat)
     K = box.corners.shape[0]
     mass = 1.0 / K

@@ -47,38 +47,23 @@ from .sampling import AcceptanceTooLow, random_stream
 from .selection import SelectionOutcome, select_criterion, select_map
 
 
-def _ellipsoid(f, c):
-    """The fit's concentration ellipsoid at the config's radius for its order."""
-    return build_ellipsoid(f, c.mu_for(f.dim))
-
-
-def _box(f, c, segments):
-    """The fit's whitened bounding box, from its cell's cached design.  The
-    box is whitened by the design's factor, so f must be a fit_nested fit on
-    that design, whose factor is a view of the design's."""
-    design = polynomial_design(f.data.n_points, c.max_order, f.data.noise_variance)
-    if not np.may_share_memory(f.chol, design.chol):
-        raise ValueError(f"order {f.dim}: the box rules score fits of their cell's design")
-    return design.box(f.dim, c.mu_for(f.dim), segments)
-
-
 # rule -> scorer(rng, fit, config).  Criterion rules return a CriterionScore
-# and ignore the stream; the rest build the region their prior lives on
-# from the fit and return a MarginalEstimate; the box rules take their
-# cell's whitened box, built once per design, so they need a fit of that
-# design (fit_nested on polynomial_design).  Estimators and region
-# builders are looked up by name at call time, so a wrapper patched onto
-# this module (a tracer, a test double) sees every call.  A collapsed box
-# excludes only the rule that built it.
+# and ignore the stream; the rest return a MarginalEstimate under the prior
+# of the fit's order: the config's radius, or for the box rules the
+# whitened bounding box that the fit's design builds once per cell.
+# Estimators are looked up by name at call time, so a wrapper patched onto
+# this module (a tracer, a test double) sees every call.
 RULES = {
     "aic": lambda rng, f, c: aic(f),
     "bic": lambda rng, f, c: bic(f, f.data.n_points),
-    "ue": lambda rng, f, c: ue_estimate(rng, f, _ellipsoid(f, c), c.samples),
-    "ueg": lambda rng, f, c: ueg_estimate(rng, f, _ellipsoid(f, c), c.samples),
-    "ge": lambda rng, f, c: ge_estimate(rng, f, _ellipsoid(f, c), c.samples),
-    "ub": lambda rng, f, c: ub_estimate(rng, f, _box(f, c, 1), c.samples),
+    "ue": lambda rng, f, c: ue_estimate(rng, f, c.mu_for(f.dim), c.samples),
+    "ueg": lambda rng, f, c: ueg_estimate(rng, f, c.mu_for(f.dim), c.samples),
+    "ge": lambda rng, f, c: ge_estimate(rng, f, c.mu_for(f.dim), c.samples),
+    "ub": lambda rng, f, c: ub_estimate(
+        rng, f, f.design.box(f.dim, c.mu_for(f.dim), 1), c.samples
+    ),
     "ub-strat": lambda rng, f, c: ub_stratified_estimate(
-        rng, f, _box(f, c, c.strat_segments()), c.samples
+        rng, f, f.design.box(f.dim, c.mu_for(f.dim), c.strat_segments()), c.samples
     ),
 }
 VALID_EXPERIMENTS = ("fixed", "random", "select")
@@ -267,8 +252,9 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
     Returns rule -> SelectionOutcome.  All orders are fitted from the
     cell's cached design; orders past its full-rank prefix are excluded
     from every rule (None scores).  Order 1 always fits: its column is all
-    ones.  A rule whose box collapses is excluded as a whole: its
-    selected_order is None and extra["excluded"] gives the reason.
+    ones.  A rule whose box collapses, or whose rejection sampler stalls,
+    is excluded as a whole: its selected_order is None and
+    extra["excluded"] gives the reason.
     Monte-Carlo rules consume the stream in config order, orders ascending.
     """
     fits = fit_nested(data, polynomial_design(data.n_points, config.max_order, data.noise_variance))
@@ -277,7 +263,7 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
         scorer = RULES[rule]
         try:
             scored = [None if f is None else scorer(rng, f, config) for f in fits]
-        except BoxCollapsed as err:
+        except (BoxCollapsed, AcceptanceTooLow) as err:
             outcomes[rule] = SelectionOutcome(
                 rule, None, [None] * len(fits), {"excluded": str(err)}
             )
@@ -487,7 +473,7 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         if f is None:
             per_order.append({"order": order, "singular": True})
             continue
-        e = _ellipsoid(f, config)
+        e = build_ellipsoid(f, config.mu_for(order))
         row = {"order": order, "mu": e.radius,
                "ellipsoid_mass_rho": chi2_cdf(order, e.radius), "below_floor": {}}
         samplers = (
@@ -516,7 +502,7 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         if f is None:
             continue
         valid += 1
-        if contains(_ellipsoid(f, config), truth):
+        if contains(build_ellipsoid(f, config.mu_for(config.true_order)), truth):
             hits += 1
     return {
         "config": config.to_dict(),

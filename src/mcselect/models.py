@@ -12,7 +12,8 @@ the max-order one.  A Design orthonormalises those columns once per
 gives J's Cholesky factor L = R'/sigma and, by one triangular inverse,
 L^-1.  Column j of the basis reads only columns <= j, so every order's
 blocks have the same bits whatever max_order is.  fit_nested then only
-projects y through the basis, and each FittedModel views its blocks.
+projects y through the basis, and each FittedModel views its blocks and
+keeps its design, whose cached boxes the box rules score.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ class FittedModel:
 
     chol is the lower Cholesky factor L of the observed information
     J = (1/sigma^2) Phi' Phi and chol_inv the inverse of L, both read-only
-    views of the design's blocks; max_loglik is the log-likelihood at
-    theta_hat.
+    views of the blocks of design, the Design the fit came from;
+    max_loglik is the log-likelihood at theta_hat.
     """
 
     theta_hat: np.ndarray
@@ -123,6 +124,7 @@ class FittedModel:
     chol_inv: np.ndarray
     max_loglik: float
     data: Dataset
+    design: Design = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -146,8 +148,7 @@ class FittedModel:
 
     def log_likelihood_radial(self, q: np.ndarray) -> np.ndarray:
         """ll = max_loglik - q/2 at whitened squared distance q: exact for this
-        family and free of cancellation when sigma^2 is tiny.  The ue, ueg and
-        ge kernels draw q alone: their ellipsoid must be build_ellipsoid(self, mu)."""
+        family and free of cancellation when sigma^2 is tiny."""
         return self.max_loglik - 0.5 * q
 
 
@@ -239,7 +240,7 @@ def fit_nested(data: Dataset, design: Design) -> list:
         inv = design.chol_inv[:d, :d]
         theta_hat = np.einsum("ji,j->i", inv, w[:d])
         mll = float(peak - 0.5 * np.einsum("i,i->", resid, resid) / s2)
-        fits.append(FittedModel(theta_hat, design.chol[:d, :d], inv, mll, data))
+        fits.append(FittedModel(theta_hat, design.chol[:d, :d], inv, mll, data, design))
     return fits + [None] * (design.width - design.rank)
 
 

@@ -9,7 +9,9 @@ and can be split into equal segments per axis for stratified sampling.
 A WhitenedBox holds such a split as seen from the center in the whitened
 frame z = (theta - center) L, where the likelihood is a function of |z|^2
 alone; its shape depends on L and mu, not on the center, so a cell builds
-it once and only the collapse checks run at each center.
+it once (Design.box) and only the collapse checks run at each center.  The
+theta-space Ellipsoid, Box and BoxPartition stay for the samplers and as
+the box kernel's references.
 """
 
 from __future__ import annotations
@@ -249,13 +251,3 @@ def whiten_box(lo: np.ndarray, hi: np.ndarray, chol: np.ndarray, segments: int) 
     idx = np.indices((segments,) * d, dtype=float).reshape(d, -1).T
     corners = np.einsum("ij,jk->ik", lo + idx * step, chol)
     return WhitenedBox(lo, hi, segments, step[:, None] * chol, corners)
-
-
-def whitened(region, center: np.ndarray, chol: np.ndarray) -> WhitenedBox:
-    """region as a WhitenedBox about center under J = L L'.  A WhitenedBox is
-    returned as it is; a theta-space BoxPartition goes through whiten_box,
-    and a Box as its one-segment partition."""
-    if isinstance(region, WhitenedBox):
-        return region
-    part = region if isinstance(region, BoxPartition) else BoxPartition(region, 1)
-    return whiten_box(part.box.lo - center, part.box.hi - center, chol, part.segments)

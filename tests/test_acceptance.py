@@ -22,11 +22,11 @@ from mcselect.experiments import config_from_dict, run_experiment
 from mcselect.models import fit, generate_data, polynomial_regressors
 from mcselect.numerics import chi2_cdf
 from mcselect.regions import (
-    bounding_box,
+    box_halfwidths,
     build_ellipsoid,
     contains,
     default_mu,
-    partition,
+    whiten_box,
 )
 from mcselect.sampling import (
     random_stream,
@@ -106,8 +106,6 @@ def test_criterion_4_unbiasedness_against_quadrature():
     data = generate_data(rng, 1, (0.4,), 1.0, 20)
     f = fit(data, polynomial_regressors(20, 1))
     mu = default_mu(1)
-    e = build_ellipsoid(f, mu)
-    box = bounding_box(e)
     j = f.fim[0, 0]
     half = math.sqrt(mu / j)
     lo, hi = f.theta_hat[0] - half, f.theta_hat[0] + half
@@ -126,15 +124,15 @@ def test_criterion_4_unbiasedness_against_quadrature():
 
     runs, m = 2000, 200
     estimators = {
-        "ue": (ue_estimate, e, quad_u),
-        "ueg": (ueg_estimate, e, quad_u),
-        "ge": (ge_estimate, e, quad_g),
-        "ub": (ub_estimate, box, quad_u),
+        "ue": (ue_estimate, mu, quad_u),
+        "ueg": (ueg_estimate, mu, quad_u),
+        "ge": (ge_estimate, mu, quad_g),
+        "ub": (ub_estimate, f.design.box(1, mu, 1), quad_u),
     }
     msgs = []
-    for name, (fn, region, target) in estimators.items():
+    for name, (fn, prior, target) in estimators.items():
         logs = np.array([
-            fn(random_stream(104, 1 + s), f, region, m).log_value
+            fn(random_stream(104, 1 + s), f, prior, m).log_value
             for s in range(runs)
         ])
         w = np.exp(logs - target)  # ratios to the quadrature value
@@ -152,8 +150,7 @@ def test_criterion_5_importance_sampling_exactness():
     rng = random_stream(105, 0)
     data = generate_data(rng, 4, TRUE_COEFFS, 1.0, 100)
     f = fit(data, polynomial_regressors(100, 4))
-    e = build_ellipsoid(f, default_mu(4))
-    est = ueg_estimate(random_stream(105, 1), f, e, 1000)
+    est = ueg_estimate(random_stream(105, 1), f, default_mu(4), 1000)
     assert est.mc_std_error_log < 1e-10
     print(f"criterion 5 PASS: ueg mc_std_error_log {est.mc_std_error_log:.2e} < 1e-10")
 
@@ -175,15 +172,14 @@ def test_criterion_6_estimates_never_exceed_peak():
             phi = designs[(n, d)] = polynomial_regressors(n, d)
         data = generate_data(rng, d, coeffs, sigma2, n)
         f = fit(data, phi)
-        e = build_ellipsoid(f, default_mu(d))
-        box = bounding_box(e)
+        mu = default_mu(d)
         cap = f.max_loglik + 1e-9
         ests = (
-            ue_estimate(rng, f, e, 8),
-            ueg_estimate(rng, f, e, 8),
-            ge_estimate(rng, f, e, 8),
-            ub_estimate(rng, f, box, 8),
-            ub_stratified_estimate(rng, f, partition(box, 2), 8),
+            ue_estimate(rng, f, mu, 8),
+            ueg_estimate(rng, f, mu, 8),
+            ge_estimate(rng, f, mu, 8),
+            ub_estimate(rng, f, f.design.box(d, mu, 1), 8),
+            ub_stratified_estimate(rng, f, f.design.box(d, mu, 2), 8),
         )
         violations += sum(est.log_value > cap for est in ests)
     elapsed = time.perf_counter() - start
@@ -199,9 +195,7 @@ def test_criterion_7_stratification_reduces_variance():
     rng = random_stream(107, 0)
     data = generate_data(rng, 4, TRUE_COEFFS, 1.0, 100)
     f = fit(data, polynomial_regressors(100, 4))
-    e = build_ellipsoid(f, default_mu(4))
-    box = bounding_box(e)
-    part = partition(box, 5)
+    box, part = f.design.box(4, default_mu(4), 1), f.design.box(4, default_mu(4), 5)
     plain, strat = [], []
     for s in range(500):
         plain.append(ub_estimate(random_stream(107, 1 + s), f, box, 1000).log_value)
@@ -213,11 +207,11 @@ def test_criterion_7_stratification_reduces_variance():
     assert v_strat <= v_plain
 
     const = ConstantLikelihood(2, -4.0)
-    ce = build_ellipsoid(const, 10.0)
-    cbox = bounding_box(ce)
+    half = box_halfwidths(const.chol_inv, 10.0)
+    cbox, cpart = (whiten_box(-half, half, const.chol, k) for k in (1, 2))
     cp = [ub_estimate(random_stream(108, s), const, cbox, 50).log_value for s in range(50)]
     cs = [
-        ub_stratified_estimate(random_stream(109, s), const, partition(cbox, 2), 50).log_value
+        ub_stratified_estimate(random_stream(109, s), const, cpart, 50).log_value
         for s in range(50)
     ]
     assert float(np.var(cp)) == 0.0 and float(np.var(cs)) == 0.0

@@ -263,6 +263,33 @@ class TestCollapsedBox:
         assert "order 1: the bounding box" in results["ub"]["excluded"]
 
 
+class TestStalledRejection:
+    """At radius 0.001, ge's truncated-Gaussian rejection falls under the
+    acceptance floor at order 3: ge is excluded, the other rules select."""
+
+    def _run(self, tmp_path, data_csv, rules):
+        cfg = tmp_path / "stall.json"
+        cfg.write_text(json.dumps({
+            "experiment": "select", "sigma2": 1.0, "max_order": 6, "rules": rules,
+            "samples": 500, "seed": 7, "mu": [0.001] * 6,
+        }))
+        return main(["select", str(data_csv), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+
+    def test_stalled_rule_is_excluded(self, tmp_path, data_csv, capsys):
+        assert self._run(tmp_path, data_csv, ["aic", "ge"]) == 0, capsys.readouterr().err
+        assert "ge: excluded, " in capsys.readouterr().out
+        results = json.loads((tmp_path / "o" / "selection.json").read_text())["results"]
+        assert results["aic"]["selected_order"] is not None
+        assert results["ge"]["selected_order"] is None
+        assert results["ge"]["excluded"].endswith("(rate below 0.0001)")
+
+    def test_only_rule_stalled_exits_4(self, tmp_path, data_csv, capsys):
+        assert self._run(tmp_path, data_csv, ["ge"]) == 4
+        assert "every rule was excluded: ge: " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "selection.json").exists()
+
+
 class TestHighOrderUniformEllipsoid:
     """Order 8 with ue runs to completion.  Box rejection accepts about 1
     proposal in 66 000 there, under the acceptance floor, so a ue that

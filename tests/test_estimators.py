@@ -21,12 +21,14 @@ from mcselect.models import build_design, fit, fit_nested, generate_data, polyno
 from mcselect.numerics import chi2_cdf
 from mcselect.regions import (
     BoxCollapsed,
+    box_halfwidths,
     bounding_box,
     build_ellipsoid,
     default_mu,
     ellipsoid_log_volume,
     mahalanobis_sq,
     partition,
+    whiten_box,
 )
 from mcselect.sampling import (
     random_stream,
@@ -62,9 +64,10 @@ class TestCriteria:
         assert bic(model, 10).value < bic(model, 1000).value
 
 
-def _regions(model, mu):
-    e = build_ellipsoid(model, mu)
-    return e, bounding_box(e)
+def _stub_box(model, mu, segments):
+    """The WhitenedBox that Design.box would build for a stand-in's factor."""
+    half = box_halfwidths(model.chol_inv, mu)
+    return whiten_box(-half, half, model.chol, segments)
 
 
 class TestConstantLikelihoodExactness:
@@ -73,13 +76,12 @@ class TestConstantLikelihoodExactness:
     def test_prior_average_estimators_are_exact(self):
         c = -3.25
         model = ConstantLikelihood(2, c)
-        e, box = _regions(model, 10.0)
-        ue = ue_estimate(random_stream(30, 0), model, e, 64)
-        ge = ge_estimate(random_stream(30, 1), model, e, 64)
-        ub = ub_estimate(random_stream(30, 2), model, box, 64)
-        strat = ub_stratified_estimate(random_stream(30, 3), model, partition(box, 2), 64)
+        ue = ue_estimate(random_stream(30, 0), model, 10.0, 64)
+        ge = ge_estimate(random_stream(30, 1), model, 10.0, 64)
+        ub = ub_estimate(random_stream(30, 2), model, _stub_box(model, 10.0, 1), 64)
+        strat = ub_stratified_estimate(random_stream(30, 3), model, _stub_box(model, 10.0, 2), 64)
         # one draw per stratum, with 25 strata: pairs plus the final triple
-        single = ub_stratified_estimate(random_stream(30, 4), model, partition(box, 5), 25)
+        single = ub_stratified_estimate(random_stream(30, 4), model, _stub_box(model, 10.0, 5), 25)
         assert single.samples_used == 25
         for est in (ue, ge, ub, strat, single):
             assert est.log_value == c
@@ -87,8 +89,7 @@ class TestConstantLikelihoodExactness:
 
     def test_shifted_constant(self):
         model = ConstantLikelihood(1, -700.0)
-        e, box = _regions(model, 8.0)
-        est = ub_estimate(random_stream(31, 0), model, box, 32)
+        est = ub_estimate(random_stream(31, 0), model, _stub_box(model, 8.0, 1), 32)
         assert est.log_value == -700.0
         assert est.mc_std_error_log == 0.0
 
@@ -103,18 +104,18 @@ def one_dim_fit():
 class TestAgainstQuadrature:
     """1-D estimators against a deterministic quadrature of the integrand."""
 
-    def _quad_uniform(self, model, e, n=131_073):
-        half = math.sqrt(e.radius / model.fim[0, 0])
+    def _quad_uniform(self, model, mu, n=131_073):
+        half = math.sqrt(mu / model.fim[0, 0])
         lo, hi = model.theta_hat[0] - half, model.theta_hat[0] + half
         log_p = lambda g: model.log_likelihood_batch(g[:, None])
         q = trapezoid_log_integral(log_p, lo, hi, n)
         return q - math.log(2.0 * half)
 
-    def _quad_truncated_gauss(self, model, e, n=131_073):
+    def _quad_truncated_gauss(self, model, mu, n=131_073):
         j = model.fim[0, 0]
-        half = math.sqrt(e.radius / j)
+        half = math.sqrt(mu / j)
         lo, hi = model.theta_hat[0] - half, model.theta_hat[0] + half
-        rho = chi2_cdf(1, e.radius)
+        rho = chi2_cdf(1, mu)
 
         def log_pq(g):
             ll = model.log_likelihood_batch(g[:, None])
@@ -124,35 +125,31 @@ class TestAgainstQuadrature:
         return trapezoid_log_integral(log_pq, lo, hi, n) - math.log(rho)
 
     def test_quadrature_is_converged(self, one_dim_fit):
-        e, _ = _regions(one_dim_fit, default_mu(1))
-        a = self._quad_uniform(one_dim_fit, e, n=131_073)
-        b = self._quad_uniform(one_dim_fit, e, n=262_145)
+        a = self._quad_uniform(one_dim_fit, default_mu(1), n=131_073)
+        b = self._quad_uniform(one_dim_fit, default_mu(1), n=262_145)
         assert abs(a - b) < 1e-10
 
     def test_ue_matches(self, one_dim_fit):
-        e, _ = _regions(one_dim_fit, default_mu(1))
-        want = self._quad_uniform(one_dim_fit, e)
-        est = ue_estimate(random_stream(32, 0), one_dim_fit, e, 40_000)
+        want = self._quad_uniform(one_dim_fit, default_mu(1))
+        est = ue_estimate(random_stream(32, 0), one_dim_fit, default_mu(1), 40_000)
         assert abs(est.log_value - want) < 4.0 * est.mc_std_error_log
 
     def test_ub_matches(self, one_dim_fit):
         # in one dimension the bounding box is the ellipsoid interval
-        e, box = _regions(one_dim_fit, default_mu(1))
-        want = self._quad_uniform(one_dim_fit, e)
+        want = self._quad_uniform(one_dim_fit, default_mu(1))
+        box = one_dim_fit.design.box(1, default_mu(1), 1)
         est = ub_estimate(random_stream(33, 0), one_dim_fit, box, 40_000)
         assert abs(est.log_value - want) < 4.0 * est.mc_std_error_log
 
     def test_ueg_matches(self, one_dim_fit):
         # importance-sampled version of the same uniform-prior integral
-        e, _ = _regions(one_dim_fit, default_mu(1))
-        want = self._quad_uniform(one_dim_fit, e)
-        est = ueg_estimate(random_stream(34, 0), one_dim_fit, e, 1_000)
+        want = self._quad_uniform(one_dim_fit, default_mu(1))
+        est = ueg_estimate(random_stream(34, 0), one_dim_fit, default_mu(1), 1_000)
         assert abs(est.log_value - want) < 1e-8
 
     def test_ge_matches(self, one_dim_fit):
-        e, _ = _regions(one_dim_fit, default_mu(1))
-        want = self._quad_truncated_gauss(one_dim_fit, e)
-        est = ge_estimate(random_stream(35, 0), one_dim_fit, e, 40_000)
+        want = self._quad_truncated_gauss(one_dim_fit, default_mu(1))
+        est = ge_estimate(random_stream(35, 0), one_dim_fit, default_mu(1), 40_000)
         assert abs(est.log_value - want) < 4.0 * est.mc_std_error_log
 
 
@@ -163,9 +160,10 @@ def fits_by_dim():
     return {d: fit(data, polynomial_regressors(100, d)) for d in range(1, 9)}
 
 
-def _ue_exact_log(model, e):
+def _ue_exact_log(model, mu):
     """Exact ue target: the Gaussian integral over the ellipsoid / its volume."""
     d = model.dim
+    e = build_ellipsoid(model, mu)
     return (
         model.max_loglik
         + 0.5 * d * LOG_2PI
@@ -175,14 +173,14 @@ def _ue_exact_log(model, e):
     )
 
 
-def _ge_exact_log(model, e):
+def _ge_exact_log(model, mu):
     """Exact ge target: mll - (d/2) log 2 + log F_d(2 mu) - log F_d(mu)."""
     d = model.dim
     return (
         model.max_loglik
         - 0.5 * d * math.log(2.0)
-        + math.log(chi2_cdf(d, 2.0 * e.radius))
-        - math.log(chi2_cdf(d, e.radius))
+        + math.log(chi2_cdf(d, 2.0 * mu))
+        - math.log(chi2_cdf(d, mu))
     )
 
 
@@ -217,17 +215,15 @@ def _assert_calibrated(estimate, exact, key, d, seeds=40):
 class TestUeCalibration:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_z_scores(self, fits_by_dim, d):
-        f = fits_by_dim[d]
-        e = build_ellipsoid(f, default_mu(d))
-        _assert_calibrated(lambda rng: ue_estimate(rng, f, e, 1000), _ue_exact_log(f, e), 48, d)
+        f, mu = fits_by_dim[d], default_mu(d)
+        _assert_calibrated(lambda rng: ue_estimate(rng, f, mu, 1000), _ue_exact_log(f, mu), 48, d)
 
 
 class TestGeCalibration:
     @pytest.mark.parametrize("d", range(1, 7))
     def test_z_scores(self, fits_by_dim, d):
-        f = fits_by_dim[d]
-        e = build_ellipsoid(f, default_mu(d))
-        _assert_calibrated(lambda rng: ge_estimate(rng, f, e, 1000), _ge_exact_log(f, e), 49, d)
+        f, mu = fits_by_dim[d], default_mu(d)
+        _assert_calibrated(lambda rng: ge_estimate(rng, f, mu, 1000), _ge_exact_log(f, mu), 49, d)
 
 
 class TestUbCalibration:
@@ -238,7 +234,10 @@ class TestUbCalibration:
     def test_ub_z_scores(self, fits_by_dim, d):
         f = fits_by_dim[d]
         box = bounding_box(build_ellipsoid(f, default_mu(d)))
-        _assert_calibrated(lambda rng: ub_estimate(rng, f, box, 1000), _ub_exact_log(f, box), 50, d)
+        whitened = f.design.box(d, default_mu(d), 1)
+        _assert_calibrated(
+            lambda rng: ub_estimate(rng, f, whitened, 1000), _ub_exact_log(f, box), 50, d
+        )
 
     @pytest.mark.parametrize("d", range(1, 5))
     def test_ub_strat_z_scores(self, fits_by_dim, d):
@@ -246,22 +245,20 @@ class TestUbCalibration:
         # (1000 samples, max_order 6), with >= 2 draws per stratum here
         f = fits_by_dim[d]
         box = bounding_box(build_ellipsoid(f, default_mu(d)))
-        part = partition(box, stratification_segments(1000, 6))
+        strata = f.design.box(d, default_mu(d), stratification_segments(1000, 6))
         _assert_calibrated(
-            lambda rng: ub_stratified_estimate(rng, f, part, 1000), _ub_exact_log(f, box), 51, d
+            lambda rng: ub_stratified_estimate(rng, f, strata, 1000), _ub_exact_log(f, box), 51, d
         )
 
 
 class TestUegExactness:
     def test_zero_error_on_linear_gaussian(self, cubic_fit):
-        e = build_ellipsoid(cubic_fit, default_mu(4))
-        est = ueg_estimate(random_stream(36, 0), cubic_fit, e, 500)
+        est = ueg_estimate(random_stream(36, 0), cubic_fit, default_mu(4), 500)
         assert est.mc_std_error_log < 1e-10
 
     def test_agrees_with_ue(self, cubic_fit):
-        e = build_ellipsoid(cubic_fit, default_mu(4))
-        ue = ue_estimate(random_stream(37, 0), cubic_fit, e, 4_000)
-        ueg = ueg_estimate(random_stream(37, 1), cubic_fit, e, 4_000)
+        ue = ue_estimate(random_stream(37, 0), cubic_fit, default_mu(4), 4_000)
+        ueg = ueg_estimate(random_stream(37, 1), cubic_fit, default_mu(4), 4_000)
         assert abs(ue.log_value - ueg.log_value) < 4.0 * ue.mc_std_error_log
 
 
@@ -342,7 +339,7 @@ class TestRadialKernels:
             for m in (2, 333, 1000):
                 index = ((n * 10 + d) * 10 + k) * 10_000 + m
                 rng, ref_rng = random_stream(54, index), random_stream(54, index)
-                est = kernel(rng, f, e, m)
+                est = kernel(rng, f, default_mu(d), m)
                 want, want_se = reference(ref_rng, f, e, m)
                 assert abs(est.log_value - want) <= 1e-12 * max(1.0, abs(want))
                 assert abs(est.mc_std_error_log - want_se) <= 1e-10
@@ -350,23 +347,62 @@ class TestRadialKernels:
                 assert rng.random() == ref_rng.random()
 
     def test_ueg_is_its_closed_form(self, cubic_fit):
-        e = build_ellipsoid(cubic_fit, default_mu(4))
-        est = ueg_estimate(random_stream(55, 0), cubic_fit, e, 500)
-        want = _ue_exact_log(cubic_fit, e)
+        est = ueg_estimate(random_stream(55, 0), cubic_fit, default_mu(4), 500)
+        want = _ue_exact_log(cubic_fit, default_mu(4))
         assert abs(est.log_value - want) <= 1e-12 * abs(want)
         assert est.mc_std_error_log == 0.0
+
+
+@pytest.fixture(scope="module")
+def fits_by_cell():
+    """Fits of orders 1..6 to one simulated dataset per (N, sigma2)."""
+    fits = {}
+    for n in (20, 100, 1000, 50_000):
+        for s2 in (1.0, 0.37):
+            data = generate_data(random_stream(817, n), 4, TRUE_COEFFS, s2, n)
+            fits[(n, s2)] = fit_nested(data, build_design(polynomial_regressors(n, 6), s2))
+    return fits
+
+
+class TestEllipsoidRulesNeverSeeJ:
+    """ue, ueg and ge read the radius and the whitened draws, never J: from
+    one stream key, log_value - max_loglik is the same in every cell.  So
+    their penalties pen(d) = -2 (log p - mll) depend on d and mu alone."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("estimate", [ue_estimate, ueg_estimate, ge_estimate],
+                             ids=["ue", "ueg", "ge"])
+    def test_same_offset_at_every_n_and_sigma2(self, fits_by_cell, estimate, d):
+        offsets = []
+        for fits in fits_by_cell.values():
+            f = fits[d - 1]
+            est = estimate(random_stream(60, d), f, default_mu(d), 1000)
+            offsets.append((est.log_value - f.max_loglik, max(1.0, abs(f.max_loglik))))
+        for offset, scale in offsets[1:]:
+            assert abs(offset - offsets[0][0]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_ueg_is_mll_less_half_the_penalty(self, fits_by_cell, d):
+        mu = default_mu(d)
+        pen = (d * math.log(mu / 2.0) - 2.0 * math.lgamma(0.5 * d + 1.0)
+               - 2.0 * math.log(chi2_cdf(d, mu)))
+        for fits in fits_by_cell.values():
+            f = fits[d - 1]
+            want = f.max_loglik - 0.5 * pen
+            est = ueg_estimate(random_stream(61, d), f, mu, 1000)
+            assert abs(est.log_value - want) <= 1e-12 * abs(want)
 
 
 class TestPriorOrdering:
     """Mass concentration orders the estimators on a peaked likelihood."""
 
     def test_ge_above_ue_and_ub_below_ue(self, cubic_fit):
-        e = build_ellipsoid(cubic_fit, default_mu(4))
-        box = bounding_box(e)
+        mu = default_mu(4)
+        box = cubic_fit.design.box(4, mu, 1)
         ue_vals, ge_vals, ub_vals = [], [], []
         for s in range(200):
-            ue_vals.append(ue_estimate(random_stream(38, s), cubic_fit, e, 200).log_value)
-            ge_vals.append(ge_estimate(random_stream(39, s), cubic_fit, e, 200).log_value)
+            ue_vals.append(ue_estimate(random_stream(38, s), cubic_fit, mu, 200).log_value)
+            ge_vals.append(ge_estimate(random_stream(39, s), cubic_fit, mu, 200).log_value)
             ub_vals.append(ub_estimate(random_stream(40, s), cubic_fit, box, 200).log_value)
         mean_ue = float(np.mean(ue_vals))
         assert float(np.mean(ge_vals)) > mean_ue + 0.5
@@ -375,22 +411,17 @@ class TestPriorOrdering:
 
 class TestStratifiedUb:
     def test_single_stratum_identical_to_plain(self, cubic_fit):
-        e = build_ellipsoid(cubic_fit, default_mu(4))
-        box = bounding_box(e)
+        box = cubic_fit.design.box(4, default_mu(4), 1)
         plain = ub_estimate(random_stream(41, 0), cubic_fit, box, 500)
-        strat = ub_stratified_estimate(
-            random_stream(41, 0), cubic_fit, partition(box, 1), 500
-        )
+        strat = ub_stratified_estimate(random_stream(41, 0), cubic_fit, box, 500)
         # one code path: ub is the one-stratum case of the box kernel
         assert strat.log_value == plain.log_value
         assert strat.mc_std_error_log == plain.mc_std_error_log
         assert strat.samples_used == plain.samples_used
 
     def test_reduces_variance(self, cubic_fit):
-        e = build_ellipsoid(cubic_fit, default_mu(4))
-        box = bounding_box(e)
-        L = stratification_segments(1000, 4)
-        part = partition(box, L)
+        box = cubic_fit.design.box(4, default_mu(4), 1)
+        part = cubic_fit.design.box(4, default_mu(4), stratification_segments(1000, 4))
         plain, strat = [], []
         for s in range(300):
             plain.append(ub_estimate(random_stream(42, s), cubic_fit, box, 1000).log_value)
@@ -400,8 +431,7 @@ class TestStratifiedUb:
         assert np.var(strat) <= np.var(plain)
 
     def test_sample_allocation(self, cubic_fit):
-        e = build_ellipsoid(cubic_fit, default_mu(4))
-        part = partition(bounding_box(e), 5)
+        part = cubic_fit.design.box(4, default_mu(4), 5)
         est = ub_stratified_estimate(random_stream(44, 0), cubic_fit, part, 1000)
         # 625 strata at max(1, round(1000/625)) = 2 draws each
         assert est.samples_used == 1250
@@ -457,12 +487,12 @@ class TestStratifiedVectorised:
     @pytest.mark.parametrize("per", [1, 2, 5])
     @pytest.mark.parametrize("d", range(1, 7))
     def test_bit_identical_to_loop(self, fits_by_dim, d, per):
-        f = fits_by_dim[d]
-        part = partition(bounding_box(build_ellipsoid(f, default_mu(d))), 3 if d <= 4 else 2)
+        f, segments = fits_by_dim[d], 3 if d <= 4 else 2
+        part = partition(bounding_box(build_ellipsoid(f, default_mu(d))), segments)
         m = per * part.count
         for s in range(3):
             rng, ref_rng = random_stream(49, 10 * d + s), random_stream(49, 10 * d + s)
-            est = ub_stratified_estimate(rng, f, part, m)
+            est = ub_stratified_estimate(rng, f, f.design.box(d, default_mu(d), segments), m)
             _assert_box_kernel_matches(est, *_ub_strat_loop(ref_rng, f, part, m), rng, ref_rng)
 
     def test_default_design_bit_identical(self, fits_by_dim):
@@ -470,21 +500,20 @@ class TestStratifiedVectorised:
         f = fits_by_dim[6]
         part = partition(bounding_box(build_ellipsoid(f, default_mu(6))), 3)
         rng, ref_rng = random_stream(50, 0), random_stream(50, 0)
-        est = ub_stratified_estimate(rng, f, part, 1000)
+        est = ub_stratified_estimate(rng, f, f.design.box(6, default_mu(6), 3), 1000)
         _assert_box_kernel_matches(est, *_ub_strat_loop(ref_rng, f, part, 1000), rng, ref_rng)
 
     @pytest.mark.parametrize("segments", [2, 3])
     def test_one_draw_per_stratum_has_positive_se(self, cubic_fit, segments):
-        e = build_ellipsoid(cubic_fit, default_mu(4))
-        part = partition(bounding_box(e), segments)
-        est = ub_stratified_estimate(random_stream(51, segments), cubic_fit, part, part.count)
-        assert est.samples_used == part.count
+        part = cubic_fit.design.box(4, default_mu(4), segments)
+        count = segments**4
+        est = ub_stratified_estimate(random_stream(51, segments), cubic_fit, part, count)
+        assert est.samples_used == count
         assert est.mc_std_error_log > 0.0
 
     def test_collapsed_se_tracks_the_spread(self, cubic_fit):
         # collapsed strata overstate the variance, but stay on its scale
-        e = build_ellipsoid(cubic_fit, default_mu(4))
-        part = partition(bounding_box(e), 5)
+        part = cubic_fit.design.box(4, default_mu(4), 5)
         ests = [
             ub_stratified_estimate(random_stream(52, s), cubic_fit, part, 625)
             for s in range(200)
@@ -619,15 +648,13 @@ class TestEstimateNeverExceedsPeak:
             coeffs = tuple(rng.random(d) - 0.5)
             data = generate_data(rng, d, coeffs, sigma2, n)
             f = fit(data, polynomial_regressors(n, d))
-            e = build_ellipsoid(f, default_mu(d))
-            box = bounding_box(e)
-            part = partition(box, 2)
+            mu = default_mu(d)
             ests = [
-                ue_estimate(rng, f, e, 16),
-                ueg_estimate(rng, f, e, 16),
-                ge_estimate(rng, f, e, 16),
-                ub_estimate(rng, f, box, 16),
-                ub_stratified_estimate(rng, f, part, 16),
+                ue_estimate(rng, f, mu, 16),
+                ueg_estimate(rng, f, mu, 16),
+                ge_estimate(rng, f, mu, 16),
+                ub_estimate(rng, f, f.design.box(d, mu, 1), 16),
+                ub_stratified_estimate(rng, f, f.design.box(d, mu, 2), 16),
             ]
             for est in ests:
                 assert est.log_value <= f.max_loglik + 1e-9
@@ -635,22 +662,32 @@ class TestEstimateNeverExceedsPeak:
 
 class TestValidation:
     def test_need_two_samples(self, intercept_fit):
-        e = build_ellipsoid(intercept_fit, 8.0)
-        box = bounding_box(e)
+        box = intercept_fit.design.box(1, 8.0, 1)
         with pytest.raises(ValueError):
-            ue_estimate(random_stream(46, 0), intercept_fit, e, 1)
+            ue_estimate(random_stream(46, 0), intercept_fit, 8.0, 1)
         with pytest.raises(ValueError):
-            ueg_estimate(random_stream(46, 0), intercept_fit, e, 1)
+            ueg_estimate(random_stream(46, 0), intercept_fit, 8.0, 1)
         with pytest.raises(ValueError):
-            ge_estimate(random_stream(46, 0), intercept_fit, e, 1)
+            ge_estimate(random_stream(46, 0), intercept_fit, 8.0, 1)
         with pytest.raises(ValueError):
             ub_estimate(random_stream(46, 0), intercept_fit, box, 1)
         with pytest.raises(ValueError):
-            ub_stratified_estimate(random_stream(46, 0), intercept_fit, partition(box, 1), 1)
+            ub_stratified_estimate(random_stream(46, 0), intercept_fit, box, 1)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("estimate", [ue_estimate, ueg_estimate, ge_estimate],
+                             ids=["ue", "ueg", "ge"])
+    def test_radius_must_be_positive_and_finite(self, intercept_fit, estimate, mu):
+        # the check build_ellipsoid makes, before any draw
+        with pytest.raises(ValueError, match="^mu must be positive and finite"):
+            build_ellipsoid(intercept_fit, mu)
+        rng = random_stream(48, 0)
+        with pytest.raises(ValueError, match="^mu must be positive and finite"):
+            estimate(rng, intercept_fit, mu, 10)
+        assert rng.random() == random_stream(48, 0).random()
 
     def test_metadata_fields(self, intercept_fit):
-        e = build_ellipsoid(intercept_fit, 8.0)
-        est = ue_estimate(random_stream(47, 0), intercept_fit, e, 10)
+        est = ue_estimate(random_stream(47, 0), intercept_fit, 8.0, 10)
         assert est.method == "ue"
         assert est.samples_used == 10
         assert est.mc_std_error_log >= 0.0

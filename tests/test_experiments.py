@@ -16,6 +16,7 @@ from mcselect import experiments, models
 from mcselect.experiments import (
     ConfigError,
     ExperimentConfig,
+    NoViableCandidate,
     config_from_dict,
     run_diagnostics,
     run_experiment,
@@ -347,6 +348,13 @@ class TestRunFixed:
         assert sum(report.counts["bic"][40][2]) == 5
         assert report.mean_mc_std_error_log["ub"] is None
 
+    def test_stalled_rejection_fails_only_its_rule(self):
+        # at radius 0.001 ge's rejection stalls at order 3 in every replication
+        report = run_experiment(fixed_config(rules=["aic", "ge"], mu=[0.001] * 3, replications=4))
+        assert report.failures == {"aic": 0, "ge": 4}
+        assert sum(report.counts["aic"][40][2]) == 4
+        assert report.mean_mc_std_error_log["ge"] is None
+
     def test_unresolved_seed_rejected(self):
         cfg = fixed_config()
         cfg = cfg.with_seed(None)
@@ -417,9 +425,10 @@ class TestWorkerCap:
 class TestSharedFactor:
     """One design per cell (N, max_order, sigma2): its regressors and its one
     triangular inverse are built on the first dataset of the cell only.  No
-    Cholesky and no triangular solve run.  ue, ueg and ge build one
-    ellipsoid per order and dataset; ub and ub-strat build one whitened box
-    per order on the cell's first dataset only; aic and bic build neither."""
+    Cholesky and no triangular solve run.  No rule builds an ellipsoid: ue,
+    ueg and ge make one radius-only estimate per order and dataset; ub and
+    ub-strat build one whitened box per order on the cell's first dataset
+    only; aic and bic need neither."""
 
     def _count(self, monkeypatch, module, name, calls=None):
         calls = [] if calls is None else calls
@@ -432,16 +441,19 @@ class TestSharedFactor:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    @pytest.mark.parametrize("rules, ellipsoids, boxes", [
+    @pytest.mark.parametrize("rules, radial, boxes", [
         (["aic", "bic"], 0, 0),
         (["aic", "bic", "ub"], 0, 6),
         # 50 samples at max_order 6 leave ub-strat one segment: ub's boxes
         (["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"], 18, 6),
     ])
-    def test_calls_per_dataset(self, monkeypatch, rules, ellipsoids, boxes):
+    def test_calls_per_dataset(self, monkeypatch, rules, radial, boxes):
         regressors = self._count(monkeypatch, models, "polynomial_regressors")
         designs = self._count(monkeypatch, models, "build_design")
         built = self._count(monkeypatch, experiments, "build_ellipsoid")
+        by_radius = []
+        for name in ("ue_estimate", "ueg_estimate", "ge_estimate"):
+            self._count(monkeypatch, experiments, name, by_radius)
         whitened = self._count(monkeypatch, models, "whiten_box")
         # the scipy attribute and every mcselect binding of each kernel, so a
         # module that imports one by name is counted too
@@ -463,11 +475,11 @@ class TestSharedFactor:
         models.polynomial_design.cache_clear()
         select_once(Dataset(np.sin(np.arange(100.0)), 1.0), config_from_dict(raw))
         assert counts() == (0, 1, 1, 0, 1)
-        assert (len(built), len(whitened)) == (ellipsoids, boxes)
+        assert (len(built), len(by_radius), len(whitened)) == (0, radial, boxes)
         # a second dataset of the same cell reuses the design and its boxes
         select_once(Dataset(np.cos(np.arange(100.0)), 1.0), config_from_dict(raw))
         assert counts() == (0, 1, 1, 0, 1)
-        assert (len(built), len(whitened)) == (2 * ellipsoids, boxes)
+        assert (len(built), len(by_radius), len(whitened)) == (0, 2 * radial, boxes)
         # a new sigma2 is a new cell: exactly one more design
         raw["sigma2"] = 0.37
         select_once(Dataset(np.sin(np.arange(100.0)), 0.37), config_from_dict(raw))
@@ -475,18 +487,19 @@ class TestSharedFactor:
         assert len(whitened) == 2 * boxes
 
     @pytest.mark.parametrize("rule", ["ub", "ub-strat"])
-    def test_box_rules_refuse_a_fit_of_another_design(self, rule):
-        # the cell's box is whitened by the cell design's factor, so a fit
-        # with its own factor would get another fit's box
+    def test_box_rules_score_a_fit_by_its_own_design(self, rule):
+        # a fit() fit carries a design of its own: its order-2 box is built
+        # from the same factor bits as the cell's, so the estimates agree
         cfg = config_from_dict({"experiment": "select", "sigma2": 1.0, "max_order": 3,
                                 "rules": [rule], "samples": 50, "seed": 3})
         data = Dataset(np.sin(np.arange(40.0)), 1.0)
         nested = models.fit_nested(data, models.polynomial_design(40, 3, 1.0))[1]
-        assert experiments.RULES[rule](random_stream(60, 0), nested, cfg).samples_used >= 1
         own = models.fit(data, models.polynomial_regressors(40, 2))
-        np.testing.assert_array_equal(own.chol, nested.chol)
-        with pytest.raises(ValueError, match="^order 2: the box rules score fits of their"):
-            experiments.RULES[rule](random_stream(60, 0), own, cfg)
+        assert own.design is not nested.design and own.design.width == 2
+        want = experiments.RULES[rule](random_stream(60, 0), nested, cfg)
+        assert experiments.RULES[rule](random_stream(60, 0), own, cfg) == want
+        # 50 samples at max_order 3: ub-strat has 3 x 3 strata of 6 draws
+        assert want.samples_used == (50 if rule == "ub" else 54)
 
 
 class TestRunRandom:
@@ -643,6 +656,25 @@ class TestSelectOnce:
         ses = out.extra["mc_std_error_log"]
         assert len(ses) == 2
         assert all(s >= 0.0 for s in ses)
+
+    # at radius 0.001 ge's truncated Gaussian accepts about 1 proposal in
+    # 66 000 at order 3, under the acceptance floor
+    STALLED = {"experiment": "select", "sigma2": 0.37, "max_order": 6,
+               "samples": 500, "seed": 7, "mu": [0.001] * 6}
+
+    def test_stalled_rejection_excludes_only_its_rule(self):
+        data = generate_data(random_stream(7, 0), 4, TRUE_COEFFS, 0.37, 100)
+        outcomes = select_once(data, config_from_dict({**self.STALLED, "rules": ["aic", "ge"]}))
+        assert outcomes["aic"].selected_order is not None
+        assert "excluded" not in outcomes["aic"].extra
+        assert outcomes["ge"].selected_order is None
+        assert outcomes["ge"].scores == [None] * 6
+        assert outcomes["ge"].extra["excluded"].endswith("(rate below 0.0001)")
+
+    def test_every_rule_excluded_is_no_viable_candidate(self):
+        data = generate_data(random_stream(7, 0), 4, TRUE_COEFFS, 0.37, 100)
+        with pytest.raises(NoViableCandidate, match="^every rule was excluded: ge: "):
+            select_once(data, config_from_dict({**self.STALLED, "rules": ["ge"]}))
 
 
 class TestDiagnostics:

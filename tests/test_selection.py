@@ -102,9 +102,9 @@ class TestDecisionConsistency:
             mc_scores = []
             for order in (1, 2):
                 f = fit(data, polynomial_regressors(20, order))
-                e = build_ellipsoid(f, default_mu(order))
-                box = bounding_box(e)
-                mc_scores.append(ub_estimate(rng, f, box, m))
+                mu = default_mu(order)
+                box = bounding_box(build_ellipsoid(f, mu))
+                mc_scores.append(ub_estimate(rng, f, f.design.box(order, mu, 1), m))
                 quad_scores.append(_quad_box_marginal(f, box))
             mc_pick = select_map(mc_scores).selected_order
             quad_pick = 1 + int(np.argmax(quad_scores))
