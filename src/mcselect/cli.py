@@ -24,6 +24,7 @@ from .experiments import (
     run_diagnostics,
     run_experiment,
     select_once,
+    write_json,
     write_report,
 )
 from .models import Dataset, ParseError, load_dataset_y
@@ -86,12 +87,6 @@ def _resolve_seed(config: ExperimentConfig) -> ExperimentConfig:
     return config.with_seed(seed)
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_select(args, config: ExperimentConfig) -> int:
     try:
         y = load_dataset_y(args.data)
@@ -109,7 +104,7 @@ def _cmd_select(args, config: ExperimentConfig) -> int:
         else:
             print(f"{rule}: order {out.selected_order}")
     path = os.path.join(args.out, "selection.json")
-    _write_json(path, {
+    write_json(path, {
         "config": config.to_dict(),
         "data_path": os.path.abspath(args.data),
         "n_points": int(y.size),
@@ -153,7 +148,7 @@ def _cmd_sample_diag(args, config: ExperimentConfig) -> int:
         f"{cov['fraction']:.4f} of {cov['replications']} replications"
     )
     path = os.path.join(args.out, "diagnostics.json")
-    _write_json(path, diag)
+    write_json(path, diag)
     print(f"wrote {path}")
     return 0
 

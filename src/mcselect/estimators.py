@@ -30,7 +30,7 @@ import numpy as np
 
 from .numerics import chi2_cdf, unit_ball_volume
 from .regions import WhitenedBox
-from .sampling import accept_reject, skip_uniforms, standard_normal_sq
+from .sampling import AcceptanceTooLow, accept_reject, skip_uniforms, standard_normal_sq
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -135,11 +135,14 @@ def ge_estimate(rng, model, mu: float, m: int) -> MarginalEstimate:
     """Average likelihood under the Gaussian prior truncated to the ellipsoid
     of radius mu: the rejection loop of sample_truncated_gaussian on the
     squared norms q = |z|^2 of its whitened proposals z ~ N(0, I_d), kept
-    when q <= mu."""
+    when q <= mu.  A stalled sampler's AcceptanceTooLow names the order."""
     _check(m, mu)
     d = model.dim
-    batch = accept_reject(rng, lambda r, k: standard_normal_sq(r, k, d)[:, None],
-                          lambda q: q[:, 0] <= mu, m)
+    try:
+        batch = accept_reject(rng, lambda r, k: standard_normal_sq(r, k, d)[:, None],
+                              lambda q: q[:, 0] <= mu, m)
+    except AcceptanceTooLow as err:
+        raise AcceptanceTooLow(f"order {d}: {err}") from None
     log_mean, se = _log_mean_and_se(model.log_likelihood_radial(batch.points[:, 0]))
     return MarginalEstimate(log_mean, se, m, "ge")
 

@@ -7,9 +7,11 @@ Two experiment kinds share one engine:
              orders, coefficient draws, and noise replications
 
 Every replication owns a counter-based stream keyed by (seed, task index),
-so results are independent of worker count and arrival order: the merge
-happens in task order and the CSV artifacts are byte-identical for any
---jobs value.
+so results are independent of worker count and arrival order.  A
+replication sends back its design rank and one record per rule:
+(selected order or None, sum of the rule's log SEs, their count).  One
+loop folds the records in task order into the tallies, so the CSV
+artifacts are byte-identical for any --jobs value.
 """
 
 from __future__ import annotations
@@ -36,14 +38,21 @@ from .estimators import (
     ueg_estimate,
 )
 from .models import Dataset, fit_nested, generate_data, polynomial_design
+from .numerics import chi2_cdf
 from .regions import (
     PARTITION_CAP,
     BoxCollapsed,
     PartitionTooLarge,
     build_ellipsoid,
+    contains,
     default_mu,
 )
-from .sampling import AcceptanceTooLow, random_stream
+from .sampling import (
+    AcceptanceTooLow,
+    random_stream,
+    sample_truncated_gaussian,
+    sample_uniform_ellipsoid,
+)
 from .selection import SelectionOutcome, select_criterion, select_map
 
 
@@ -278,19 +287,19 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
 
 def _replication_task(args) -> tuple:
     """One dataset: generate, fit, select under every rule.  Top-level so
-    process pools can pickle it by reference.  Returns (rule -> selected
-    order or None, MC rule -> (sum, count) of its log SEs, design rank)."""
+    process pools can pickle it by reference.  Returns (design rank, rule ->
+    record), the record being (selected order or None, sum of the rule's
+    log SEs, their count); a criterion or excluded rule has no SEs.  Any
+    further per-rule statistic belongs in this record."""
     (config, stream_index, n_points, true_order, coeffs) = args
     rng = random_stream(config.seed, stream_index)
     data = generate_data(rng, true_order, coeffs, config.sigma2, n_points)
     rank = polynomial_design(n_points, config.max_order, config.sigma2).rank
-    outcomes = score_candidates(data, config, rng)
-    se: dict[str, tuple] = {}
-    for rule, out in outcomes.items():
-        if "mc_std_error_log" in out.extra:
-            vals = [v for v in out.extra["mc_std_error_log"] if v is not None]
-            se[rule] = (float(np.sum(vals)), len(vals))
-    return {rule: out.selected_order for rule, out in outcomes.items()}, se, rank
+    records = {}
+    for rule, out in score_candidates(data, config, rng).items():
+        ses = [v for v in out.extra.get("mc_std_error_log", ()) if v is not None]
+        records[rule] = (out.selected_order, float(np.sum(ses)), len(ses))
+    return rank, records
 
 
 @dataclass
@@ -397,34 +406,26 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         rule: {n: dict.fromkeys(true_orders, per_cell) for n in config.n_values}
         for rule in config.rules
     }
-    failures = {rule: 0 for rule in config.rules}
+    failures = dict.fromkeys(config.rules, 0)
+    se = {rule: [0.0, 0] for rule in config.rules}  # sum and count of log SEs
     excluded: dict[int, int] = {}
-    se_sum = {rule: 0.0 for rule in config.rules}
-    se_cnt = {rule: 0 for rule in config.rules}
-
-    for (_, _, n_points, true_order, _), (selected, se, rank) in zip(tasks, results):
+    for (_, _, n_points, true_order, _), (rank, records) in zip(tasks, results):
         for order in range(rank + 1, config.max_order + 1):
             excluded[order] = excluded.get(order, 0) + 1
-        for rule, sel in selected.items():
+        for rule, (sel, se_sum, se_count) in records.items():
             if sel is None:
                 failures[rule] += 1
             else:
                 counts[rule][n_points][true_order][sel - 1] += 1
-        for rule, (s, c) in se.items():
-            se_sum[rule] += s
-            se_cnt[rule] += c
-
-    mean_se = {
-        rule: (se_sum[rule] / se_cnt[rule] if se_cnt[rule] else None)
-        for rule in config.rules
-    }
+            se[rule][0] += se_sum
+            se[rule][1] += se_count
     return ExperimentReport(
         config=config.to_dict(),
         counts=counts,
         totals=totals,
         failures=failures,
         excluded=excluded,
-        mean_mc_std_error_log=mean_se,
+        mean_mc_std_error_log={r: s / c if c else None for r, (s, c) in se.items()},
         wall_time_seconds=time.perf_counter() - start,
     )
 
@@ -453,10 +454,6 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     refits the true order from the same design on fresh replications and
     counts how often the concentration ellipsoid contains the truth.
     """
-    from .numerics import chi2_cdf
-    from .regions import contains
-    from .sampling import sample_truncated_gaussian, sample_uniform_ellipsoid
-
     if config.experiment != "fixed":
         raise ConfigError("sampler diagnostics need a 'fixed' experiment config")
     if config.seed is None:
@@ -521,12 +518,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, config_line: str, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(config_line)
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def write_json(path, payload) -> None:
+    """Write payload as indented, key-sorted JSON with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_report(report: ExperimentReport, outdir) -> dict:
@@ -558,31 +554,17 @@ def write_report(report: ExperimentReport, outdir) -> dict:
                  sum(report.totals[rule][n_points].values()))
             )
 
-    paths = {
-        "histogram": os.path.join(outdir, "histogram.csv"),
-        "prob_correct": os.path.join(outdir, "prob_correct.csv"),
-        "avg_prob": os.path.join(outdir, "avg_prob.csv"),
-        "report": os.path.join(outdir, "report.json"),
-    }
-    _write_csv(
-        paths["histogram"],
-        cfg_line,
-        ["rule", "n_points", "true_order", "selected_order", "count", "frequency"],
-        hist_rows,
+    tables = (
+        ("histogram", "rule,n_points,true_order,selected_order,count,frequency", hist_rows),
+        ("prob_correct", "rule,n_points,true_order,prob_correct,total", prob_rows),
+        ("avg_prob", "rule,n_points,avg_prob_correct,total", avg_rows),
     )
-    _write_csv(
-        paths["prob_correct"],
-        cfg_line,
-        ["rule", "n_points", "true_order", "prob_correct", "total"],
-        prob_rows,
-    )
-    _write_csv(
-        paths["avg_prob"],
-        cfg_line,
-        ["rule", "n_points", "avg_prob_correct", "total"],
-        avg_rows,
-    )
-    with open(paths["report"], "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    paths = {}
+    for name, header, rows in tables:
+        paths[name] = os.path.join(outdir, f"{name}.csv")
+        with open(paths[name], "w", newline="") as fh:
+            fh.write(f"{cfg_line}{header}\n")
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+    paths["report"] = os.path.join(outdir, "report.json")
+    write_json(paths["report"], report.to_dict())
     return paths

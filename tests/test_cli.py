@@ -282,6 +282,7 @@ class TestStalledRejection:
         results = json.loads((tmp_path / "o" / "selection.json").read_text())["results"]
         assert results["aic"]["selected_order"] is not None
         assert results["ge"]["selected_order"] is None
+        assert results["ge"]["excluded"].startswith("order 3: ")
         assert results["ge"]["excluded"].endswith("(rate below 0.0001)")
 
     def test_only_rule_stalled_exits_4(self, tmp_path, data_csv, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from mcselect.experiments import (
     config_from_dict,
     run_diagnostics,
     run_experiment,
+    score_candidates,
     select_once,
     write_report,
 )
@@ -369,6 +371,77 @@ class TestRunFixed:
             )
 
 
+class TestTallyRecount:
+    """run_experiment's tallies equal a recount that reruns every task
+    through random_stream, generate_data and score_candidates.  N = 3
+    excludes order 4, and at radius 0.001 ge's rejection stalls at order 3
+    in every replication, so every kind of tally is exercised."""
+
+    BASE = {"sigma2": 1.0, "max_order": 4, "rules": ["aic", "ue", "ge", "ub"],
+            "samples": 60, "n_values": [3, 30], "mu": [0.001] * 4, "seed": 19}
+    KINDS = {
+        "fixed": {"experiment": "fixed", "replications": 3, "true_order": 2,
+                  "true_coefficients": [0.4, -0.2]},
+        "random": {"experiment": "random", "replications": 1, "coef_draws": 2,
+                   "coef_halfwidth": 0.5},
+    }
+
+    @staticmethod
+    def _tasks(cfg):
+        """(N, true order, coefficients) of each task in stream order: N,
+        then true order, then coefficient draw, then replication."""
+        if cfg.experiment == "fixed":
+            draws = [(cfg.true_order, cfg.true_coefficients)]
+        else:
+            m, h = cfg.coef_draws, cfg.coef_halfwidth
+            draws = [(t, -h + 2.0 * h * random_stream(cfg.seed, 2**48 + (t - 1) * m + j).random(t))
+                     for t in range(1, cfg.max_order + 1) for j in range(m)]
+        grid = itertools.product(cfg.n_values, draws, range(cfg.replications))
+        return [(n, t, coeffs) for n, (t, coeffs), _ in grid]
+
+    def _recount(self, cfg):
+        counts = {rule: {n: {} for n in cfg.n_values} for rule in cfg.rules}
+        failures = dict.fromkeys(cfg.rules, 0)
+        excluded = {}
+        ses = {rule: [] for rule in cfg.rules}
+        for i, (n, t, coeffs) in enumerate(self._tasks(cfg)):
+            rng = random_stream(cfg.seed, i)
+            outcomes = score_candidates(generate_data(rng, t, coeffs, cfg.sigma2, n), cfg, rng)
+            for order, score in enumerate(outcomes["aic"].scores, start=1):
+                if score is None:
+                    excluded[order] = excluded.get(order, 0) + 1
+            for rule, out in outcomes.items():
+                row = counts[rule][n].setdefault(t, [0] * cfg.max_order)
+                if out.selected_order is None:
+                    failures[rule] += 1
+                else:
+                    row[out.selected_order - 1] += 1
+                ses[rule] += [s for s in out.extra.get("mc_std_error_log", ()) if s is not None]
+        mean = {rule: sum(v) / len(v) if v else None for rule, v in ses.items()}
+        return counts, failures, excluded, mean
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_report_equals_recount(self, kind):
+        cfg = config_from_dict({**self.BASE, **self.KINDS[kind]})
+        counts, failures, excluded, mean = self._recount(cfg)
+        n_tasks = len(self._tasks(cfg))
+        assert failures == {"aic": 0, "ue": 0, "ge": n_tasks, "ub": 0}
+        assert excluded == {4: n_tasks // 2}
+        assert mean["aic"] is None and mean["ge"] is None
+        for jobs in (1, 2):
+            report = run_experiment(cfg, jobs=jobs)
+            assert report.counts == counts
+            assert report.failures == failures
+            assert report.excluded == excluded
+            assert set(report.mean_mc_std_error_log) == set(mean)
+            for rule, want in mean.items():
+                got = report.mean_mc_std_error_log[rule]
+                if want is None:
+                    assert got is None, rule
+                else:
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0), rule
+
+
 class _SerialPool:
     """ProcessPoolExecutor stand-in that records its size and maps in-process."""
 
@@ -669,6 +742,7 @@ class TestSelectOnce:
         assert "excluded" not in outcomes["aic"].extra
         assert outcomes["ge"].selected_order is None
         assert outcomes["ge"].scores == [None] * 6
+        assert outcomes["ge"].extra["excluded"].startswith("order 3: ")
         assert outcomes["ge"].extra["excluded"].endswith("(rate below 0.0001)")
 
     def test_every_rule_excluded_is_no_viable_candidate(self):
