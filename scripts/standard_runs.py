@@ -8,8 +8,9 @@ Every run imports mcselect from this checkout's src/.  The list: the three
 scripts in quick mode at seeds 7 and 2026, the seven-rule order histogram
 at 40 replications, the CI `mcselect experiment`, and a seven-rule
 `select` and a `sample-diag`.  A CSV must match its sha256 byte for byte.
-A JSON artifact, without wall_time_seconds and data_path, must match
-number by number within JSON_RTOL relative: BLAS may round generate_data's
+A JSON artifact must be strict JSON (no NaN or Infinity) and, without
+wall_time_seconds and data_path, must match number by number within
+JSON_RTOL relative: BLAS may round generate_data's
 product differently on another machine.  --check exits 1 and names every
 artifact that moved; --update rewrites tests/golden/artifacts.json.
 """
@@ -75,6 +76,10 @@ def runs(tmp: str, jobs: int) -> list:
     return out
 
 
+def _not_strict(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def collect(jobs: int) -> dict:
     """Run the list and return artifact path -> sha256 (CSV) or JSON payload."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -97,7 +102,7 @@ def collect(jobs: int) -> dict:
                 if fname.endswith(".csv"):
                     artifacts[f"{name}/{fname}"] = hashlib.sha256(raw).hexdigest()
                 else:
-                    payload = json.loads(raw)
+                    payload = json.loads(raw, parse_constant=_not_strict)
                     for key in DROPPED:
                         payload.pop(key, None)
                     artifacts[f"{name}/{fname}"] = payload

@@ -30,7 +30,8 @@ import numpy as np
 
 from .numerics import chi2_cdf, unit_ball_volume
 from .regions import WhitenedBox
-from .sampling import AcceptanceTooLow, accept_reject, skip_uniforms, standard_normal_sq
+from .sampling import (AcceptanceTooLow, accept_reject, skip_uniforms, standard_normal_sq,
+                       uniform_box_sq)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -70,8 +71,8 @@ def bic(model, n_samples: int) -> CriterionScore:
 
 
 def _check(m: int, mu: float = 1.0) -> None:
-    """At least two draws and, for the rules that take one, a radius as
-    build_ellipsoid accepts it; the default stands in for the box rules."""
+    """At least two draws and, for the rules that take one, a positive
+    finite radius; the default stands in for the box rules."""
     if m < 2:
         raise ValueError(f"need at least 2 Monte-Carlo samples, got m={m}")
     if not (mu > 0.0 and math.isfinite(mu)):
@@ -98,9 +99,10 @@ def _log_mean_and_se(log_weights: np.ndarray) -> tuple[float, float]:
 def ue_estimate(rng, model, mu: float, m: int) -> MarginalEstimate:
     """Average likelihood over a uniform draw on the ellipsoid of radius mu.
 
-    sample_ellipsoid_direct's point at whitened radius sqrt(mu) U^(1/d) has
-    q = mu U^(2/d) whatever its direction, so its 2 ceil(m d / 2) direction
-    uniforms are skipped and its m radii drawn.
+    A uniform point of the whitened ball is a Gaussian direction z/|z|,
+    z = standard_normal(rng, (m, d)), at radius sqrt(mu) U^(1/d), so its
+    q = mu U^(2/d) whatever the direction: the 2 ceil(m d / 2) direction
+    uniforms are skipped and the m radii drawn.
     """
     _check(m, mu)
     d = model.dim
@@ -133,9 +135,9 @@ def ueg_estimate(rng, model, mu: float, m: int) -> MarginalEstimate:
 
 def ge_estimate(rng, model, mu: float, m: int) -> MarginalEstimate:
     """Average likelihood under the Gaussian prior truncated to the ellipsoid
-    of radius mu: the rejection loop of sample_truncated_gaussian on the
-    squared norms q = |z|^2 of its whitened proposals z ~ N(0, I_d), kept
-    when q <= mu.  A stalled sampler's AcceptanceTooLow names the order."""
+    of radius mu: rejection on the squared norms q = |z|^2 of whitened
+    proposals z ~ N(0, I_d), kept when q <= mu.  A stalled sampler's
+    AcceptanceTooLow names the order."""
     _check(m, mu)
     d = model.dim
     try:
@@ -187,11 +189,7 @@ def _box_estimate(rng, model, box: WhitenedBox, m: int, method: str) -> Marginal
     K = box.corners.shape[0]
     mass = 1.0 / K
     per = max(1, round(mass * m))
-    d = box.lo.size
-    z = (rng.random((K * per, d)) @ box.scale).reshape(K, per, d)
-    z += box.corners[:, None, :]
-    q = np.square(z, out=z).reshape(-1, d) @ np.ones(d)  # BLAS row sums, as in ge
-    ll = model.log_likelihood_radial(q.reshape(K, per))
+    ll = model.log_likelihood_radial(uniform_box_sq(rng, box, per))
     if K == 1:  # the plain mean: one stratum, so no strata to combine
         return MarginalEstimate(*_log_mean_and_se(ll[0]), per, method)
     shift = float(np.max(ll))

@@ -39,19 +39,13 @@ from .estimators import (
 )
 from .models import Dataset, fit_nested, generate_data, polynomial_design
 from .numerics import chi2_cdf
-from .regions import (
-    PARTITION_CAP,
-    BoxCollapsed,
-    PartitionTooLarge,
-    build_ellipsoid,
-    contains,
-    default_mu,
-)
+from .regions import PARTITION_CAP, BoxCollapsed, PartitionTooLarge, default_mu
 from .sampling import (
     AcceptanceTooLow,
+    accept_reject,
     random_stream,
-    sample_truncated_gaussian,
-    sample_uniform_ellipsoid,
+    standard_normal_sq,
+    uniform_box_sq,
 )
 from .selection import SelectionOutcome, select_criterion, select_map
 
@@ -259,14 +253,20 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
     """Fit every order and apply every configured rule to one dataset.
 
     Returns rule -> SelectionOutcome.  All orders are fitted from the
-    cell's cached design; orders past its full-rank prefix are excluded
-    from every rule (None scores).  Order 1 always fits: its column is all
-    ones.  A rule whose box collapses, or whose rejection sampler stalls,
-    is excluded as a whole: its selected_order is None and
+    cell's cached design; orders past its full-rank prefix, and orders
+    whose max_loglik is not finite (a residual sum of squares that
+    overflows), are excluded from every rule (None scores).  With no order
+    left, or where a rule's box collapses or its rejection sampler stalls,
+    the rule is excluded as a whole: its selected_order is None and
     extra["excluded"] gives the reason.
     Monte-Carlo rules consume the stream in config order, orders ascending.
     """
-    fits = fit_nested(data, polynomial_design(data.n_points, config.max_order, data.noise_variance))
+    fits = [f if f is not None and math.isfinite(f.max_loglik) else None for f in fit_nested(
+        data, polynomial_design(data.n_points, config.max_order, data.noise_variance))]
+    if all(f is None for f in fits):
+        reason = "no order has a finite maximum log-likelihood"
+        return {rule: SelectionOutcome(rule, None, [None] * len(fits), {"excluded": reason})
+                for rule in config.rules}
     outcomes: dict[str, SelectionOutcome] = {}
     for rule in config.rules:
         scorer = RULES[rule]
@@ -277,7 +277,7 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
                 rule, None, [None] * len(fits), {"excluded": str(err)}
             )
             continue
-        if isinstance(scored[0], CriterionScore):
+        if isinstance(next(s for s in scored if s is not None), CriterionScore):
             outcomes[rule] = select_criterion(scored, rule=rule)
             continue
         ses = [None if est is None else est.mc_std_error_log for est in scored]
@@ -447,12 +447,15 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     """Sampler acceptance rates and ellipsoid coverage on the true design.
 
     Fits one simulated dataset and reports, per candidate order, the
-    empirical acceptance rate of the box-rejection and Gaussian-rejection
-    samplers next to the chi-square mass rho of the ellipsoid.  A sampler
-    whose acceptance falls below the floor gets null acceptance and
+    empirical acceptance rate of box rejection and Gaussian rejection next
+    to the chi-square mass rho of the ellipsoid.  Both run in the whitened
+    frame with the rules' own draws: ub's uniform on the cell's whitened
+    bounding box and ge's standard normals, each kept when q = |z|^2 <= mu.
+    A collapsed bounding box raises BoxCollapsed, as it excludes ub.  A
+    sampler whose acceptance falls below the floor gets null acceptance and
     proposals, and its AcceptanceTooLow message under below_floor.  Coverage
     refits the true order from the same design on fresh replications and
-    counts how often the concentration ellipsoid contains the truth.
+    counts how often |(truth - theta_hat) L|^2 <= mu.
     """
     if config.experiment != "fixed":
         raise ConfigError("sampler diagnostics need a 'fixed' experiment config")
@@ -470,16 +473,18 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         if f is None:
             per_order.append({"order": order, "singular": True})
             continue
-        e = build_ellipsoid(f, config.mu_for(order))
-        row = {"order": order, "mu": e.radius,
-               "ellipsoid_mass_rho": chi2_cdf(order, e.radius), "below_floor": {}}
-        samplers = (
-            ("box_rejection", sample_uniform_ellipsoid),
-            ("gaussian_rejection", sample_truncated_gaussian),
+        mu = config.mu_for(order)
+        box = design.box(order, mu, 1)
+        box.check(f.theta_hat)
+        row = {"order": order, "mu": mu,
+               "ellipsoid_mass_rho": chi2_cdf(order, mu), "below_floor": {}}
+        proposals = (
+            ("box_rejection", lambda r, k: uniform_box_sq(r, box, k).T),
+            ("gaussian_rejection", lambda r, k: standard_normal_sq(r, k, order)[:, None]),
         )
-        for name, sampler in samplers:
+        for name, propose in proposals:
             try:
-                batch = sampler(rng, e, config.samples)
+                batch = accept_reject(rng, propose, lambda q: q[:, 0] <= mu, config.samples)
             except AcceptanceTooLow as err:
                 row[f"{name}_acceptance"] = row[f"{name}_proposals"] = None
                 row["below_floor"][name] = str(err)
@@ -489,6 +494,7 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         per_order.append(row)
 
     truth = np.asarray(config.true_coefficients, dtype=float)
+    mu = config.mu_for(config.true_order)
     hits = valid = 0
     for r in range(config.replications):
         rep_rng = random_stream(config.seed, 1 + r)
@@ -499,8 +505,8 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         if f is None:
             continue
         valid += 1
-        if contains(build_ellipsoid(f, config.mu_for(config.true_order)), truth):
-            hits += 1
+        z = (truth - f.theta_hat) @ f.chol
+        hits += bool(z @ z <= mu)
     return {
         "config": config.to_dict(),
         "samplers": per_order,
@@ -519,10 +525,12 @@ def _fmt(x) -> str:
 
 
 def write_json(path, payload) -> None:
-    """Write payload as indented, key-sorted JSON with a final newline."""
+    """Write payload as indented, key-sorted JSON with a final newline.
+    A NaN or infinity raises ValueError before the file is opened: strict
+    parsers reject them."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_report(report: ExperimentReport, outdir) -> dict:

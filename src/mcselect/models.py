@@ -111,7 +111,7 @@ def log_likelihood(data: Dataset, regressors: np.ndarray, theta: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Least-squares fit of one candidate order, with its information matrix.
+    """Least-squares fit of one candidate order, with its information factor.
 
     chol is the lower Cholesky factor L of the observed information
     J = (1/sigma^2) Phi' Phi and chol_inv the inverse of L, both read-only
@@ -129,11 +129,6 @@ class FittedModel:
     @property
     def dim(self) -> int:
         return self.theta_hat.size
-
-    @property
-    def fim(self) -> np.ndarray:
-        """J = L L', exactly symmetric: J_ij and J_ji sum the same products."""
-        return np.einsum("ik,jk->ij", self.chol, self.chol)
 
     def log_likelihood_batch(self, thetas: np.ndarray) -> np.ndarray:
         """Log-likelihood at each row of thetas, shape (m, dim) -> (m,): the

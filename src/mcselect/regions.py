@@ -9,9 +9,10 @@ and can be split into equal segments per axis for stratified sampling.
 A WhitenedBox holds such a split as seen from the center in the whitened
 frame z = (theta - center) L, where the likelihood is a function of |z|^2
 alone; its shape depends on L and mu, not on the center, so a cell builds
-it once (Design.box) and only the collapse checks run at each center.  The
-theta-space Ellipsoid, Box and BoxPartition stay for the samplers and as
-the box kernel's references.
+it once (Design.box) and only the collapse checks run at each center.
+Every rule and sample-diag work in that frame.  No package code calls the
+theta-space Ellipsoid, Box and BoxPartition any more; they stay as the
+references of the whitened kernels' tests and of the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -85,14 +86,6 @@ def mahalanobis_sq(e: Ellipsoid, thetas: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", z, z)
 
 
-def contains(e: Ellipsoid, theta: np.ndarray) -> bool:
-    """Closed-region membership test for a single point."""
-    th = np.asarray(theta, dtype=float)
-    if th.shape != (e.dim,):
-        raise DimensionMismatch(f"expected shape ({e.dim},), got {th.shape}")
-    return bool(mahalanobis_sq(e, th[None, :])[0] <= e.radius)
-
-
 def ellipsoid_log_volume(e: Ellipsoid) -> float:
     """log of vol = mu^(d/2) V_d / sqrt(det J), with sqrt(det J) = prod diag L."""
     d = e.dim
@@ -129,9 +122,6 @@ class Box:
     @property
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
-
-    def log_volume(self) -> float:
-        return float(np.sum(np.log(self.widths)))
 
 
 def box_halfwidths(chol_inv: np.ndarray, mu: float) -> np.ndarray:

@@ -4,22 +4,21 @@ Streams are counter-based (Philox) and keyed by (seed, stream index), so
 replications can be dealt out to workers in any order and still produce
 identical draws.  Normals come from Box-Muller on the stream's uniforms.
 
-The exact uniform-ellipsoid draw takes a normalised Gaussian direction
-(Muller 1959; Marsaglia 1972) at a uniform radius in the ball, mapped onto
-the ellipsoid.  The rejection samplers share one accept-reject loop, so a
-seed yields the same points however a sampler is composed.  The ue, ueg
-and ge kernels take the same uniforms but score only the whitened radius:
-ge's proposals are the row norms of standard_normal_sq.
+The rules and sample-diag draw in the whitened frame z = (theta -
+theta_hat) L and keep only q = |z|^2: standard_normal_sq for the Gaussian
+and uniform_box_sq for a WhitenedBox.  Rejection runs through one
+accept-reject loop on a boolean mask.  The theta-space samplers below
+(uniform box, ellipsoid by box rejection, Gaussian and truncated Gaussian)
+take the same uniforms; no package code calls them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import Box, Ellipsoid, bounding_box, mahalanobis_sq
+from .regions import Box, Ellipsoid, WhitenedBox, bounding_box, mahalanobis_sq
 
 # accept-reject gives up once the running acceptance rate sits below the
 # floor after a warmup's worth of proposals
@@ -27,7 +26,6 @@ ACCEPTANCE_FLOOR = 1e-4
 WARMUP_PROPOSALS = 10_000
 
 _MAX_BLOCK = 1 << 16
-_RATIO_TOL = 1e-9
 
 
 class AcceptanceTooLow(RuntimeError):
@@ -97,16 +95,28 @@ def standard_normal_sq(rng: np.random.Generator, rows: int, d: int) -> np.ndarra
     return sq @ np.ones(sq.shape[1])
 
 
+def uniform_box_sq(rng: np.random.Generator, box: WhitenedBox, per: int) -> np.ndarray:
+    """|z|^2 of per uniform draws z = u scale + corners[k] in each stratum k
+    of box, shape (strata, per), from one (strata * per, d) block of
+    uniforms, stratum after stratum."""
+    K, d = box.corners.shape
+    z = (rng.random((K * per, d)) @ box.scale).reshape(K, per, d)
+    z += box.corners[:, None, :]
+    # BLAS row sums, as in standard_normal_sq
+    return (np.square(z, out=z).reshape(-1, d) @ np.ones(d)).reshape(K, per)
+
+
 def skip_uniforms(rng: np.random.Generator, n: int) -> None:
     """Advance rng as rng.random(n) would: a double takes one 64-bit word."""
     rng.bit_generator.random_raw(n, output=False)
 
 
-def accept_reject(rng: np.random.Generator, propose, density_ratio, m: int) -> SampleBatch:
-    """Draw m points: accept a proposal theta with probability density_ratio(theta).
+def accept_reject(rng: np.random.Generator, propose, accept, m: int) -> SampleBatch:
+    """Draw m points: keep each proposal where accept(points) is True.
 
-    propose(rng, k) must return a (k, d) block; density_ratio maps such a
-    block to values in [0, 1] (an indicator may return booleans).  Raises
+    propose(rng, k) must return a (k, d) block; accept maps such a block to
+    a boolean mask of shape (k,).  The stream then skips the k uniforms a
+    density-ratio test would draw, so it ends where it always has.  Raises
     AcceptanceTooLow if, after WARMUP_PROPOSALS proposals, fewer than
     ACCEPTANCE_FLOOR of them stuck.
     """
@@ -120,15 +130,11 @@ def accept_reject(rng: np.random.Generator, propose, density_ratio, m: int) -> S
         points = np.asarray(propose(rng, block), dtype=float)
         if points.ndim != 2 or points.shape[0] != block:
             raise ValueError(f"proposer returned shape {points.shape} for block {block}")
-        ratio = np.asarray(density_ratio(points), dtype=float)
-        if ratio.shape != (block,):
-            raise ValueError(f"density ratio returned shape {ratio.shape} for block {block}")
-        if ratio.max() > 1.0 + _RATIO_TOL or ratio.min() < -_RATIO_TOL:
-            bad = ratio[(ratio > 1.0 + _RATIO_TOL) | (ratio < -_RATIO_TOL)][0]
-            raise ValueError(f"density ratio {bad:g} outside [0, 1]")
-        # u in [0, 1) keeps the same points as against the ratio clipped to
-        # [0, 1]: a ratio within the tolerance above 1 always, below 0 never
-        keep = rng.random(block) < ratio
+        keep = np.asarray(accept(points))
+        if keep.shape != (block,) or keep.dtype != bool:
+            raise ValueError(f"accept returned {keep.dtype} of shape {keep.shape} "
+                             f"for block {block}, not a boolean mask")
+        skip_uniforms(rng, block)
         if np.any(keep):
             kept.append(points[keep])
             accepted += int(np.count_nonzero(keep))
@@ -155,7 +161,7 @@ def _box_proposer(box: Box):
 
 
 def _ellipsoid_indicator(e: Ellipsoid):
-    return lambda points: (mahalanobis_sq(e, points) <= e.radius).astype(float)
+    return lambda points: mahalanobis_sq(e, points) <= e.radius
 
 
 def sample_uniform_box(rng: np.random.Generator, box: Box, m: int) -> SampleBatch:
@@ -169,31 +175,6 @@ def sample_uniform_box(rng: np.random.Generator, box: Box, m: int) -> SampleBatc
 def sample_uniform_ellipsoid(rng: np.random.Generator, e: Ellipsoid, m: int) -> SampleBatch:
     """Uniform draws on the ellipsoid: box proposals, membership rejection."""
     return accept_reject(rng, _box_proposer(bounding_box(e)), _ellipsoid_indicator(e), m)
-
-
-def sample_ellipsoid_direct(rng: np.random.Generator, e: Ellipsoid, m: int) -> SampleBatch:
-    """m uniform draws on the ellipsoid, without rejection.
-
-    A point of the radius-sqrt(mu) ball is a direction z/|z| with
-    z ~ N(0, I_d) times the radius sqrt(mu) U^(1/d); theta = center + L^-T v
-    maps the ball onto the ellipsoid (J = L L', and L^-1 is chol_inv).  The
-    stream advances by exactly standard_normal(rng, (m, d)) and then
-    rng.random(m): 2 ceil(m d / 2) + m uniforms, whatever the point values.
-    """
-    if m < 1:
-        raise ValueError(f"need at least one sample, got m={m}")
-    d = e.dim
-    z = standard_normal(rng, (m, d))
-    u = rng.random(m)
-    norm = np.sqrt(np.einsum("ij,ij->i", z, z))
-    # |z| = 0 needs a zero Box-Muller radius (probability 2^-53 per pair);
-    # any fixed direction keeps the draw finite and the count unchanged
-    flat = norm == 0.0
-    z[flat, 0] = 1.0
-    norm[flat] = 1.0
-    v = z * (math.sqrt(e.radius) * u ** (1.0 / d) / norm)[:, None]
-    points = e.center + np.einsum("ij,jk->ik", v, e.chol_inv)
-    return SampleBatch(points=points, accepted_count=m, proposed_count=m)
 
 
 def _gaussian_proposer(e: Ellipsoid):

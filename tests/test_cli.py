@@ -291,6 +291,27 @@ class TestStalledRejection:
         assert not (tmp_path / "o" / "selection.json").exists()
 
 
+class TestNonFiniteFit:
+    """50 rows of y = +-1e200 overflow every order's residual sum of squares
+    at sigma2 = 1, so no order has a finite max_loglik: every rule is
+    excluded, and no selection.json with Infinity in it is written."""
+
+    def test_exit_4_and_no_selection(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("t,y\n" + "".join(
+            f"{t},{1e200 if t % 2 else -1e200}\n" for t in range(1, 51)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "select", "sigma2": 1.0, "max_order": 6, "samples": 200,
+            "rules": ["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"], "seed": 7,
+        }))
+        assert main(["select", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.count("no order has a finite maximum log-likelihood") == 7
+        assert not (tmp_path / "o" / "selection.json").exists()
+
+
 class TestHighOrderUniformEllipsoid:
     """Order 8 with ue runs to completion.  Box rejection accepts about 1
     proposal in 66 000 there, under the acceptance floor, so a ue that
@@ -403,6 +424,22 @@ class TestSampleDiagCommand:
         rows = {r["order"]: r for r in saved["samplers"]}
         assert rows[7]["box_rejection_acceptance"] is None
         assert "box_rejection" in rows[7]["below_floor"]
+
+    @pytest.mark.parametrize("sigma2", [1e-26, 1e-28])
+    def test_order_1_box_is_its_ellipsoid_at_tiny_sigma2(self, tmp_path, capsys, sigma2):
+        # a theta-space box, offset by theta_hat, lost precision here (0.993
+        # at 1e-26); the whitened one accepts every order-1 proposal
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({
+            "experiment": "fixed", "sigma2": sigma2, "max_order": 6,
+            "rules": ["ub"], "samples": 2000, "n_values": [100],
+            "replications": 5, "true_order": 4,
+            "true_coefficients": [0.1, 0.1, -0.3, 0.4], "seed": 7,
+        }))
+        out = tmp_path / "tiny_out"
+        assert main(["sample-diag", "--config", str(cfg), "--out", str(out)]) == 0
+        saved = json.loads((out / "diagnostics.json").read_text())
+        assert saved["samplers"][0]["box_rejection_acceptance"] == 1.0
 
     def test_needs_fixed_config(self, tmp_path, select_config, capsys):
         code = main(["sample-diag", "--config", str(select_config)])

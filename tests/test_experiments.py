@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from conftest import TRUE_COEFFS
-from mcselect import experiments, models
+from mcselect import experiments, models, regions
 from mcselect.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -26,7 +26,7 @@ from mcselect.experiments import (
     write_report,
 )
 from mcselect.models import Dataset, generate_data
-from mcselect.regions import PartitionTooLarge
+from mcselect.regions import BoxCollapsed, PartitionTooLarge
 from mcselect.sampling import random_stream
 
 
@@ -357,6 +357,15 @@ class TestRunFixed:
         assert sum(report.counts["aic"][40][2]) == 4
         assert report.mean_mc_std_error_log["ge"] is None
 
+    def test_no_finite_order_fails_every_rule(self, monkeypatch):
+        def huge(rng, order, coefficients, sigma2, n_points):
+            return Dataset(np.where(np.arange(n_points) % 2, -1e200, 1e200), sigma2)
+
+        monkeypatch.setattr(experiments, "generate_data", huge)
+        report = run_experiment(fixed_config(rules=["aic", "ue", "ub"], replications=2))
+        assert report.failures == {"aic": 2, "ue": 2, "ub": 2}
+        assert report.mean_mc_std_error_log == {"aic": None, "ue": None, "ub": None}
+
     def test_unresolved_seed_rejected(self):
         cfg = fixed_config()
         cfg = cfg.with_seed(None)
@@ -523,21 +532,21 @@ class TestSharedFactor:
     def test_calls_per_dataset(self, monkeypatch, rules, radial, boxes):
         regressors = self._count(monkeypatch, models, "polynomial_regressors")
         designs = self._count(monkeypatch, models, "build_design")
-        built = self._count(monkeypatch, experiments, "build_ellipsoid")
         by_radius = []
         for name in ("ue_estimate", "ueg_estimate", "ge_estimate"):
             self._count(monkeypatch, experiments, name, by_radius)
         whitened = self._count(monkeypatch, models, "whiten_box")
-        # the scipy attribute and every mcselect binding of each kernel, so a
+        # the home attribute and every mcselect binding of each kernel, so a
         # module that imports one by name is counted too
         kernels = {}
         for home, name in ((scipy.linalg, "cholesky"), (scipy.linalg, "solve_triangular"),
-                           (scipy.linalg.lapack, "dtrtri")):
+                           (scipy.linalg.lapack, "dtrtri"), (regions, "build_ellipsoid")):
             calls = kernels[name] = []
             bound = [m for key, m in sorted(sys.modules.items())
-                     if key.startswith("mcselect") and hasattr(m, name)]
+                     if key.startswith("mcselect") and m is not home and hasattr(m, name)]
             for module in [home] + bound:
                 self._count(monkeypatch, module, name, calls)
+        built = kernels["build_ellipsoid"]
 
         def counts():
             return (len(kernels["cholesky"]), len(regressors), len(kernels["dtrtri"]),
@@ -745,6 +754,25 @@ class TestSelectOnce:
         assert outcomes["ge"].extra["excluded"].startswith("order 3: ")
         assert outcomes["ge"].extra["excluded"].endswith("(rate below 0.0001)")
 
+    def test_non_finite_order_excluded_for_every_rule(self):
+        # y = 1e160 t: order 1's residual sum of squares overflows, order 2
+        # fits it; no rule scores order 1, and every rule still selects
+        y = 1e160 * models.polynomial_regressors(50, 2)[:, 1]
+        cfg = config_from_dict({"experiment": "select", "sigma2": 1.0, "max_order": 4,
+                                "rules": ["aic", "bic", "ue", "ueg", "ge"],
+                                "samples": 100, "seed": 7})
+        for rule, out in select_once(Dataset(y, 1.0), cfg).items():
+            assert out.scores[0] is None and out.selected_order >= 2, rule
+            assert all(math.isfinite(v) for v in out.scores[1:]), rule
+
+    def test_no_finite_order_is_no_viable_candidate(self):
+        data = Dataset(np.where(np.arange(50) % 2, -1e200, 1e200), 1.0)
+        cfg = config_from_dict({"experiment": "select", "sigma2": 1.0, "max_order": 6,
+                                "rules": ["aic", "ub"], "samples": 100, "seed": 7})
+        with pytest.raises(NoViableCandidate, match="^every rule was excluded: aic: no order "
+                           "has a finite maximum log-likelihood; ub: no order"):
+            select_once(data, cfg)
+
     def test_every_rule_excluded_is_no_viable_candidate(self):
         data = generate_data(random_stream(7, 0), 4, TRUE_COEFFS, 0.37, 100)
         with pytest.raises(NoViableCandidate, match="^every rule was excluded: ge: "):
@@ -801,8 +829,97 @@ class TestDiagnostics:
         with pytest.raises(ConfigError):
             run_diagnostics(random_config())
 
+    @staticmethod
+    def _tiny_noise(sigma2):
+        return fixed_config(sigma2=sigma2, max_order=6, true_order=4, n_values=[100],
+                            true_coefficients=[0.1, 0.1, -0.3, 0.4], samples=2000,
+                            replications=5, seed=7)
+
+    @staticmethod
+    def _sampler_figures(diag):
+        keys = [f"{name}_{what}" for name in ("box_rejection", "gaussian_rejection")
+                for what in ("acceptance", "proposals")]
+        return [[row[k] for k in keys] for row in diag["samplers"]]
+
+    @pytest.fixture(scope="class")
+    def at_unit_noise(self):
+        return self._sampler_figures(run_diagnostics(self._tiny_noise(1.0)))
+
+    @pytest.mark.parametrize("sigma2", [0.37, 1e-20, 1e-26, 1e-28])
+    def test_same_figures_at_every_noise_level(self, at_unit_noise, sigma2):
+        # the whitened box and radii do not depend on sigma2, and neither
+        # does the stream: theta-space proposals offset by theta_hat lost
+        # precision from about 1e-20 on
+        assert self._sampler_figures(run_diagnostics(self._tiny_noise(sigma2))) == at_unit_noise
+        assert at_unit_noise[0][0] == 1.0  # the order-1 box is its interval
+
+    def test_collapsed_box_still_raises(self):
+        with pytest.raises(BoxCollapsed, match="^order 2: the bounding box"):
+            run_diagnostics(self._tiny_noise(1e-29))
+
+
+class TestOneFrame:
+    """No package entry point calls theta-space code: with every theta-space
+    function and region constructor patched to raise, a seven-rule
+    select_once, a small run_experiment and run_diagnostics still run."""
+
+    NAMES = {
+        "numerics": ("cholesky", "cholesky_solve", "log_det"),
+        "models": ("log_likelihood", "fit"),
+        "regions": ("build_ellipsoid", "mahalanobis_sq", "ellipsoid_log_volume",
+                    "bounding_box", "partition"),
+        "sampling": ("sample_uniform_box", "sample_uniform_ellipsoid", "sample_gaussian",
+                     "sample_truncated_gaussian", "_box_proposer", "_ellipsoid_indicator",
+                     "_gaussian_proposer"),
+    }
+
+    @pytest.fixture(autouse=True)
+    def theta_space_raises(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("theta-space code ran")
+
+        package = [m for key, m in sorted(sys.modules.items())
+                   if key == "mcselect" or key.startswith("mcselect.")]
+        for module, names in self.NAMES.items():
+            home = sys.modules[f"mcselect.{module}"]
+            for name in names:
+                orig = getattr(home, name)
+                for m in package:
+                    for key, value in list(vars(m).items()):
+                        if value is orig:
+                            monkeypatch.setattr(m, key, boom)
+        for cls in (regions.Ellipsoid, regions.Box, regions.BoxPartition):
+            monkeypatch.setattr(cls, "__init__", boom)
+        monkeypatch.setattr(models.FittedModel, "log_likelihood_batch", boom)
+        with pytest.raises(AssertionError, match="theta-space code ran"):
+            models.fit(Dataset(np.ones(5), 1.0), np.ones((5, 1)))
+
+    SEVEN = ["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"]
+
+    def test_select_once(self):
+        data = generate_data(random_stream(7, 0), 4, TRUE_COEFFS, 0.37, 100)
+        cfg = config_from_dict({"experiment": "select", "sigma2": 0.37, "max_order": 6,
+                                "rules": self.SEVEN, "samples": 200, "seed": 7})
+        outcomes = select_once(data, cfg)
+        assert all(out.selected_order is not None for out in outcomes.values())
+
+    def test_run_experiment(self):
+        report = run_experiment(fixed_config(rules=self.SEVEN, replications=3))
+        assert report.failures == dict.fromkeys(self.SEVEN, 0)
+
+    def test_run_diagnostics(self):
+        diag = run_diagnostics(fixed_config(replications=3))
+        assert diag["coverage"]["replications"] == 3
+
 
 class TestWriteReport:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_refused_before_writing(self, tmp_path, value):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            experiments.write_json(path, {"scores": [1.0, value]})
+        assert not path.exists()
+
     def test_artifacts(self, tmp_path):
         cfg = fixed_config(replications=5)
         report = run_experiment(cfg)

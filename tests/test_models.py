@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtri
 
 from conftest import TRUE_COEFFS, fd_hessian
+from reference import fim
 from mcselect import models
 from mcselect.models import (
     Dataset,
@@ -113,7 +114,7 @@ class TestFit:
         data = Dataset([1.0, 3.0], 1.0)
         f = fit(data, np.ones((2, 1)))
         assert np.allclose(f.theta_hat, [2.0], atol=1e-14)
-        assert np.allclose(f.fim, [[2.0]], atol=1e-14)
+        assert np.allclose(fim(f), [[2.0]], atol=1e-14)
         assert math.isclose(f.max_loglik, -LOG_2PI - 1.0, rel_tol=1e-14)
         assert f.dim == 1
 
@@ -134,8 +135,8 @@ class TestFit:
         for t in range(20):
             direct += np.outer(phi[t], phi[t])
         direct /= 0.7
-        assert np.allclose(f.fim, direct, rtol=1e-12)
-        assert np.array_equal(f.fim, f.fim.T)
+        assert np.allclose(fim(f), direct, rtol=1e-12)
+        assert np.array_equal(fim(f), fim(f).T)
 
     def test_estimate_maximizes(self):
         rng = random_stream(5, 0)
@@ -160,8 +161,8 @@ class TestFit:
         phi = polynomial_regressors(30, 3)
         f = fit(data, phi)
         H = fd_hessian(lambda th: log_likelihood(data, phi, th), f.theta_hat.copy())
-        scale = np.max(np.abs(f.fim))
-        assert np.max(np.abs(H + f.fim)) / scale < 1e-4
+        scale = np.max(np.abs(fim(f)))
+        assert np.max(np.abs(H + fim(f))) / scale < 1e-4
 
     def test_batch_matches_scalar(self):
         rng = random_stream(7, 0)
@@ -189,7 +190,7 @@ class TestFit:
         shifted = Dataset(data.y + 3.0 * phi[:, 1], 1.0)
         f1 = fit(shifted, phi)
         assert np.allclose(f1.theta_hat - f0.theta_hat, [0.0, 3.0], atol=1e-10)
-        assert np.array_equal(f0.fim, f1.fim)
+        assert np.array_equal(fim(f0), fim(f1))
         assert math.isclose(f0.max_loglik, f1.max_loglik, rel_tol=1e-9)
 
     @given(st.integers(0, 5000))
@@ -229,7 +230,7 @@ class TestFitNested:
                 assert (got is None) == (ref is None), (n, d)
                 if ref is None:
                     continue
-                assert np.array_equal(got.fim, ref.fim), (n, d)
+                assert np.array_equal(fim(got), fim(ref)), (n, d)
                 assert np.max(np.abs(got.chol - ref.chol)) <= 1e-12 * np.max(np.abs(ref.chol))
                 # the leading block of the max-order inverse inverts this
                 # order's own factor, to the bit
@@ -267,7 +268,7 @@ class TestFitNested:
     def test_chol_factors_information(self):
         data = generate_data(random_stream(10, 0), 4, TRUE_COEFFS, 0.37, 60)
         for f in fit_nested(data, build_design(polynomial_regressors(60, 6), 0.37)):
-            assert np.allclose(f.chol @ f.chol.T, f.fim, rtol=1e-12, atol=0.0)
+            assert np.allclose(f.chol @ f.chol.T, fim(f), rtol=1e-12, atol=0.0)
             assert np.array_equal(f.chol, np.tril(f.chol))
 
     def test_fit_is_last_entry(self):

@@ -5,13 +5,13 @@ import pytest
 from scipy import stats
 
 from conftest import FitStub, random_spd
+from reference import sample_ellipsoid_direct
 from mcselect.numerics import chi2_cdf
 from mcselect.regions import Box, bounding_box, build_ellipsoid, mahalanobis_sq
 from mcselect.sampling import (
     AcceptanceTooLow,
     accept_reject,
     random_stream,
-    sample_ellipsoid_direct,
     sample_gaussian,
     sample_truncated_gaussian,
     sample_uniform_box,
@@ -110,54 +110,47 @@ class TestAcceptReject:
 
     def test_always_accept(self):
         batch = accept_reject(
-            random_stream(6, 0), self._unit_box_proposer(), lambda p: np.ones(len(p)), 10
+            random_stream(6, 0), self._unit_box_proposer(), lambda p: np.ones(len(p), bool), 10
         )
         assert batch.points.shape == (10, 1)
         assert batch.acceptance_rate == 1.0
         assert batch.accepted_count == batch.proposed_count
 
-    def test_ratio_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            accept_reject(
-                random_stream(7, 0),
-                self._unit_box_proposer(),
-                lambda p: np.full(len(p), 1.1),
-                5,
-            )
+    @pytest.mark.parametrize("m, block", [(10, 64), (100, 100)])
+    def test_skips_the_accept_uniforms(self, m, block):
+        # one block of proposals, then the block's accept uniforms skipped:
+        # the stream ends where a sampler drawing them would leave it
+        rng, ref = random_stream(13, m), random_stream(13, m)
+        batch = accept_reject(rng, self._unit_box_proposer(), lambda p: np.ones(len(p), bool), m)
+        assert batch.proposed_count == block
+        assert np.array_equal(batch.points, ref.random((block, 1))[:m])
+        ref.random(block)
+        assert np.array_equal(rng.random(9), ref.random(9))
 
-    def test_negative_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            accept_reject(
-                random_stream(8, 0),
-                self._unit_box_proposer(),
-                lambda p: np.full(len(p), -0.5),
-                5,
-            )
+    @pytest.mark.parametrize("accept", [
+        lambda p: np.ones(len(p)),  # a 0/1 ratio is not a mask
+        lambda p: np.ones(len(p) + 1, bool),
+        lambda p: np.ones((len(p), 1), bool),
+    ], ids=["float", "long", "column"])
+    def test_accept_must_be_a_boolean_mask(self, accept):
+        with pytest.raises(ValueError, match="not a boolean mask"):
+            accept_reject(random_stream(7, 0), self._unit_box_proposer(), accept, 5)
 
     def test_zero_ratio_raises_acceptance_too_low(self):
         with pytest.raises(AcceptanceTooLow):
             accept_reject(
                 random_stream(9, 0),
                 self._unit_box_proposer(),
-                lambda p: np.zeros(len(p)),
+                lambda p: np.zeros(len(p), bool),
                 5,
             )
-
-    def test_half_ratio_rate(self):
-        batch = accept_reject(
-            random_stream(10, 0),
-            self._unit_box_proposer(),
-            lambda p: np.full(len(p), 0.5),
-            20_000,
-        )
-        assert abs(batch.acceptance_rate - 0.5) < 0.01
 
     def test_indicator_split(self):
         # indicator on the left half keeps only points below the cut
         batch = accept_reject(
             random_stream(11, 0),
             self._unit_box_proposer(),
-            lambda p: (p[:, 0] < 0.5).astype(float),
+            lambda p: p[:, 0] < 0.5,
             5_000,
         )
         assert np.all(batch.points[:, 0] < 0.5)
@@ -166,7 +159,8 @@ class TestAcceptReject:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             accept_reject(
-                random_stream(12, 0), self._unit_box_proposer(), lambda p: np.ones(len(p)), 0
+                random_stream(12, 0), self._unit_box_proposer(),
+                lambda p: np.ones(len(p), bool), 0
             )
 
 
@@ -219,7 +213,7 @@ class TestUniformEllipsoid:
         manual = accept_reject(
             random_stream(18, 0),
             lambda rng, k: lo + rng.random((k, d)) * widths,
-            lambda pts: (mahalanobis_sq(e, pts) <= e.radius).astype(float),
+            lambda pts: mahalanobis_sq(e, pts) <= e.radius,
             3_000,
         )
         direct = sample_uniform_ellipsoid(random_stream(18, 0), e, 3_000)
