@@ -76,6 +76,7 @@ from .experiments import (
     NoViableCandidate,
     ExperimentConfig,
     ExperimentReport,
+    close_pool,
     run_experiment,
     select_once,
     write_report,

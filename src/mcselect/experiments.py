@@ -8,19 +8,28 @@ Two experiment kinds share one engine:
 
 Every replication owns a counter-based stream keyed by (seed, task index),
 so results are independent of worker count and arrival order.  A
-replication sends back its design rank and one record per rule:
+replication sends back the orders it excluded and one record per rule:
 (selected order or None, sum of the rule's log SEs, their count).  One
 loop folds the records in task order into the tallies, so the CSV
 artifacts are byte-identical for any --jobs value.
+
+A process keeps one worker pool.  Its workers are forked at the first
+run that needs two or more of them and are reused by every later run
+with the same worker count, until the process exits or close_pool() is
+called; a run with another count joins them before it forks new ones.
+Being forked, the workers run the package as it was at that first
+parallel run: code patched into it afterwards is not seen by them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing.util
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 
@@ -249,20 +258,25 @@ def draw_seed() -> int:
     return int(np.random.SeedSequence().entropy % 2**64)
 
 
-def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
-    """Fit every order and apply every configured rule to one dataset.
-
-    Returns rule -> SelectionOutcome.  All orders are fitted from the
-    cell's cached design; orders past its full-rank prefix, and orders
-    whose max_loglik is not finite (a residual sum of squares that
-    overflows), are excluded from every rule (None scores).  With no order
-    left, or where a rule's box collapses or its rejection sampler stalls,
-    the rule is excluded as a whole: its selected_order is None and
-    extra["excluded"] gives the reason.
-    Monte-Carlo rules consume the stream in config order, orders ascending.
-    """
-    fits = [f if f is not None and math.isfinite(f.max_loglik) else None for f in fit_nested(
+def candidate_fits(data: Dataset, config: ExperimentConfig) -> list:
+    """Fits of orders 1..max_order from the cell's cached design.  None
+    marks an order excluded from every rule: one past the design's
+    full-rank prefix, or one whose max_loglik is not finite (a residual sum
+    of squares that overflows)."""
+    return [f if f is not None and math.isfinite(f.max_loglik) else None for f in fit_nested(
         data, polynomial_design(data.n_points, config.max_order, data.noise_variance))]
+
+
+def score_candidates(data: Dataset, config: ExperimentConfig, rng, fits: list) -> dict:
+    """Apply every configured rule to every candidate order of one dataset.
+
+    Returns rule -> SelectionOutcome.  fits is candidate_fits(data, config);
+    orders it marks None are excluded from every rule (None scores).  With
+    no order left, or where a rule's box collapses or its rejection sampler
+    stalls, the rule is excluded as a whole: its selected_order is None and
+    extra["excluded"] gives the reason.  Monte-Carlo rules consume the
+    stream in config order, orders ascending.
+    """
     if all(f is None for f in fits):
         reason = "no order has a finite maximum log-likelihood"
         return {rule: SelectionOutcome(rule, None, [None] * len(fits), {"excluded": reason})
@@ -287,19 +301,20 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng) -> dict:
 
 def _replication_task(args) -> tuple:
     """One dataset: generate, fit, select under every rule.  Top-level so
-    process pools can pickle it by reference.  Returns (design rank, rule ->
-    record), the record being (selected order or None, sum of the rule's
-    log SEs, their count); a criterion or excluded rule has no SEs.  Any
-    further per-rule statistic belongs in this record."""
+    process pools can pickle it by reference.  Returns (the orders excluded
+    from every rule, rule -> record), the record being (selected order or
+    None, sum of the rule's log SEs, their count); a criterion or excluded
+    rule has no SEs.  Any further per-rule statistic belongs in this
+    record."""
     (config, stream_index, n_points, true_order, coeffs) = args
     rng = random_stream(config.seed, stream_index)
     data = generate_data(rng, true_order, coeffs, config.sigma2, n_points)
-    rank = polynomial_design(n_points, config.max_order, config.sigma2).rank
+    fits = candidate_fits(data, config)
     records = {}
-    for rule, out in score_candidates(data, config, rng).items():
+    for rule, out in score_candidates(data, config, rng, fits).items():
         ses = [v for v in out.extra.get("mc_std_error_log", ()) if v is not None]
         records[rule] = (out.selected_order, float(np.sum(ses)), len(ses))
-    return rank, records
+    return [order for order, f in enumerate(fits, start=1) if f is None], records
 
 
 @dataclass
@@ -355,17 +370,59 @@ class ExperimentReport:
         }
 
 
+# the process's kept pool: (worker count, executor, its exit hook)
+_pool = None
+
+
+def close_pool() -> None:
+    """Shut down the worker pool that parallel runs keep, and wait until
+    its workers have exited.  The next parallel run forks a new pool."""
+    global _pool
+    if _pool is not None:
+        _pool[2]()  # the exit hook, run now: shuts the executor down once
+        _pool = None
+
+
+def _forget_pool() -> None:
+    """In a forked child: the copied pool is the parent's, without its
+    threads, so the child forks a pool of its own when it needs one."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _run_tasks(tasks, jobs: int):
     # a fork-started pool forks every worker at the first submit, so never
-    # ask for more workers than there are tasks or usable CPUs
+    # ask for more workers than there are tasks or usable CPUs.  A pool of
+    # another size is joined first, so no fork runs beside its manager thread
+    global _pool
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(jobs, len(tasks), cpus)
     if workers <= 1:
         return [_replication_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(_replication_task, tasks, chunksize=chunk))
+    if _pool is not None and _pool[0] != workers:
+        close_pool()
+    kept = _pool is not None
+    if not kept:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        # a multiprocessing child joins its children at exit before it stops
+        # its threads, so the pool shuts down first, and ahead of the call
+        # queue's feeder (exit priority 10), which carries the stop signals
+        hook = multiprocessing.util.Finalize(None, pool.shutdown, exitpriority=20)
+        _pool = (workers, pool, hook)
+    chunk = max(1, len(tasks) // (workers * 8))
+    try:
+        return list(_pool[1].map(_replication_task, tasks, chunksize=chunk))
+    except BrokenProcessPool:
+        close_pool()
+        if not kept:
+            raise
+    # a worker of the kept pool died since its last run: run on a fresh pool
+    return _run_tasks(tasks, jobs)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -409,8 +466,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     failures = dict.fromkeys(config.rules, 0)
     se = {rule: [0.0, 0] for rule in config.rules}  # sum and count of log SEs
     excluded: dict[int, int] = {}
-    for (_, _, n_points, true_order, _), (rank, records) in zip(tasks, results):
-        for order in range(rank + 1, config.max_order + 1):
+    for (_, _, n_points, true_order, _), (excluded_orders, records) in zip(tasks, results):
+        for order in excluded_orders:
             excluded[order] = excluded.get(order, 0) + 1
         for rule, (sel, se_sum, se_count) in records.items():
             if sel is None:
@@ -435,7 +492,7 @@ def select_once(data: Dataset, config: ExperimentConfig) -> dict:
     if config.seed is None:
         raise ConfigError("config seed must be resolved before running")
     rng = random_stream(config.seed, 0)
-    outcomes = score_candidates(data, config, rng)
+    outcomes = score_candidates(data, config, rng, candidate_fits(data, config))
     if all("excluded" in out.extra for out in outcomes.values()):
         raise NoViableCandidate("every rule was excluded: " + "; ".join(
             f"{rule}: {out.extra['excluded']}" for rule, out in outcomes.items()

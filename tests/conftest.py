@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from scipy.linalg import cholesky, solve_triangular
 
+from mcselect import experiments
 from mcselect.models import Dataset, fit, generate_data, polynomial_regressors
 from mcselect.sampling import random_stream
 
@@ -50,6 +51,15 @@ def trapezoid_log_integral(log_f, lo, hi, n):
     stacked = vals + logw
     m = stacked.max()
     return m + math.log(np.sum(np.exp(stacked - m)))
+
+
+@pytest.fixture(autouse=True)
+def no_kept_pool():
+    """Join the worker pool a test's parallel run kept: forked workers keep
+    the code of their fork, so none may carry one test's patches, or a test
+    double, into the next test."""
+    yield
+    experiments.close_pool()
 
 
 @pytest.fixture(scope="session")

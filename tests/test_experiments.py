@@ -1,14 +1,19 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from concurrent.futures.process import BrokenProcessPool
 import scipy.linalg
 import scipy.linalg.lapack
 
@@ -18,6 +23,8 @@ from mcselect.experiments import (
     ConfigError,
     ExperimentConfig,
     NoViableCandidate,
+    candidate_fits,
+    close_pool,
     config_from_dict,
     run_diagnostics,
     run_experiment,
@@ -364,6 +371,7 @@ class TestRunFixed:
         monkeypatch.setattr(experiments, "generate_data", huge)
         report = run_experiment(fixed_config(rules=["aic", "ue", "ub"], replications=2))
         assert report.failures == {"aic": 2, "ue": 2, "ub": 2}
+        assert report.excluded == {1: 2, 2: 2, 3: 2}
         assert report.mean_mc_std_error_log == {"aic": None, "ue": None, "ub": None}
 
     def test_unresolved_seed_rejected(self):
@@ -415,7 +423,8 @@ class TestTallyRecount:
         ses = {rule: [] for rule in cfg.rules}
         for i, (n, t, coeffs) in enumerate(self._tasks(cfg)):
             rng = random_stream(cfg.seed, i)
-            outcomes = score_candidates(generate_data(rng, t, coeffs, cfg.sigma2, n), cfg, rng)
+            data = generate_data(rng, t, coeffs, cfg.sigma2, n)
+            outcomes = score_candidates(data, cfg, rng, candidate_fits(data, cfg))
             for order, score in enumerate(outcomes["aic"].scores, start=1):
                 if score is None:
                     excluded[order] = excluded.get(order, 0) + 1
@@ -459,14 +468,11 @@ class _SerialPool:
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, items, chunksize=1):
         return map(fn, items)
+
+    def shutdown(self, wait=True):
+        pass
 
 
 class TestWorkerCap:
@@ -502,6 +508,147 @@ class TestWorkerCap:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         run_experiment(fixed_config(replications=10), jobs=500)
         assert pool.sizes == [2]
+
+
+def _gone(pids, timeout=30.0) -> bool:
+    """True once no process of pids is left, not even unreaped."""
+    deadline = time.monotonic() + timeout
+    while True:
+        left = []
+        for pid in pids:
+            try:
+                os.kill(pid, 0)
+                left.append(pid)
+            except ProcessLookupError:
+                pass
+        if not left or time.monotonic() > deadline:
+            return not left
+        time.sleep(0.05)
+
+
+def _die(args):
+    """A replication that kills its worker."""
+    os._exit(3)
+
+
+def _parallel_run_in_child(cfg, conn):
+    """Target of a forked child: one parallel run, checked against a serial
+    one, then the child's own workers are sent back."""
+    same = _report_dict(run_experiment(cfg, jobs=2)) == _report_dict(run_experiment(cfg))
+    conn.send((same, sorted(p.pid for p in multiprocessing.active_children())))
+    conn.close()
+
+
+class TestKeptPool:
+    """A process keeps one pool: later runs with its worker count reuse its
+    workers, another count or a dead worker gets a fresh pool, and the
+    process still exits and leaves no worker behind."""
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        # the worker count is then the jobs value on any host
+        monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                            lambda pid: set(range(4)), raising=False)
+
+    @staticmethod
+    def _workers():
+        return sorted(p.pid for p in multiprocessing.active_children())
+
+    def test_runs_reuse_the_workers(self):
+        cfg = fixed_config(replications=8)
+        serial = _report_dict(run_experiment(cfg, jobs=1))
+        assert self._workers() == []
+        first = _report_dict(run_experiment(cfg, jobs=2))
+        pids = self._workers()
+        second = _report_dict(run_experiment(cfg.with_seed(7), jobs=2))
+        assert len(pids) == 2 and self._workers() == pids
+        assert first == serial
+        assert second == _report_dict(run_experiment(cfg.with_seed(7), jobs=1))
+
+    def test_new_worker_count_joins_the_old_workers(self):
+        cfg = fixed_config(replications=8)
+        run_experiment(cfg, jobs=2)
+        old = self._workers()
+        assert _report_dict(run_experiment(cfg, jobs=3)) == _report_dict(run_experiment(cfg))
+        assert _gone(old, timeout=0.0)
+        assert len(self._workers()) == 3
+
+    @pytest.mark.parametrize("wait", [True, False], ids=["seen-by-the-pool", "next-run-at-once"])
+    def test_killed_worker_gets_a_fresh_pool(self, wait):
+        cfg = fixed_config(replications=8)
+        run_experiment(cfg, jobs=2)
+        old = self._workers()
+        os.kill(old[0], signal.SIGKILL)
+        if wait:
+            # the pool sees the death, marks itself broken and ends the rest
+            assert _gone(old)
+        assert _report_dict(run_experiment(cfg, jobs=2)) == _report_dict(run_experiment(cfg))
+        assert _gone(old, timeout=5.0)
+        assert len(self._workers()) == 2 and set(self._workers()).isdisjoint(old)
+
+    def test_worker_dying_in_a_fresh_pool_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_replication_task", _die)
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(fixed_config(replications=8), jobs=2)
+        assert self._workers() == []
+
+    def test_close_pool_ends_the_workers(self):
+        cfg = fixed_config(replications=8)
+        run_experiment(cfg, jobs=2)
+        old = self._workers()
+        close_pool()
+        assert self._workers() == [] and _gone(old, timeout=0.0)
+        assert _report_dict(run_experiment(cfg, jobs=2)) == _report_dict(run_experiment(cfg))
+        assert set(self._workers()).isdisjoint(old)
+
+    def test_forked_child_forks_its_own_pool(self):
+        # the child inherits a copy of the kept pool without its threads; it
+        # must neither use that copy nor hang at exit joining its own workers
+        cfg = fixed_config(replications=8)
+        run_experiment(cfg, jobs=2)
+        parent_workers = self._workers()
+        recv, send = multiprocessing.Pipe(duplex=False)
+        child = multiprocessing.get_context("fork").Process(
+            target=_parallel_run_in_child, args=(cfg, send))
+        child.start()
+        pids = []
+        try:
+            assert recv.poll(60), "the child's parallel run did not finish"
+            same, pids = recv.recv()
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+                for pid in pids:  # its workers, orphaned now
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+        assert same and len(pids) == 2 and set(pids).isdisjoint(parent_workers)
+        assert _gone(pids, timeout=5.0)
+        assert self._workers() == parent_workers
+
+    def test_process_exits_and_leaves_no_worker(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+        code = """if True:
+            import json, multiprocessing, os
+            from mcselect import experiments
+            os.sched_getaffinity = lambda pid: set(range(4))
+            raw = {"experiment": "fixed", "sigma2": 1.0, "max_order": 3,
+                   "rules": ["aic", "ub"], "samples": 100, "n_values": [40],
+                   "replications": 8, "true_order": 2,
+                   "true_coefficients": [0.4, -0.2], "seed": 5}
+            experiments.run_experiment(experiments.config_from_dict(raw), jobs=2)
+            print(json.dumps([p.pid for p in multiprocessing.active_children()]))
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = json.loads(proc.stdout)
+        assert len(pids) == 2
+        assert _gone(pids, timeout=5.0)
 
 
 class TestSharedFactor:
