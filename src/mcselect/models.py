@@ -9,9 +9,10 @@ residual sum of squares.
 The candidates are nested: the order-d design is the first d columns of
 the max-order one.  A Design orthonormalises those columns once per
 (N, max_order, sigma^2) by column-sequential modified Gram-Schmidt, which
-gives J's Cholesky factor L = R'/sigma and, by one triangular inverse,
-L^-1.  Column j of the basis reads only columns <= j, so every order's
-blocks have the same bits whatever max_order is.  fit_nested then only
+gives J's Cholesky factor L = R'/sigma and, by forward substitution in
+numpy, L^-1.  Column j of the basis and row j of L^-1 read only the
+leading (j+1) x (j+1) block, so every order's blocks have the same bits
+whatever max_order is.  No run path imports scipy.  fit_nested then only
 projects y through the basis, and each FittedModel views its blocks and
 keeps its design, whose cached boxes the box rules score.
 """
@@ -27,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .numerics import DimensionMismatch, NotPositiveDefinite
 from .regions import WhitenedBox, box_halfwidths, whiten_box
@@ -175,9 +175,9 @@ class Design:
 
 
 def build_design(regressors: np.ndarray, sigma2: float) -> Design:
-    """Column-sequential modified Gram-Schmidt on Phi, then one dtrtri.
-    einsum on a contiguous column sums in one fixed order, so column j's
-    bits depend only on columns <= j."""
+    """Column-sequential modified Gram-Schmidt on Phi, then L^-1 by forward
+    substitution.  einsum sums in one fixed order, so column j of the basis
+    and row j of L^-1 depend only on the leading (j+1) x (j+1) block."""
     phi = np.asarray(regressors, dtype=float)
     if phi.ndim != 2:
         raise DimensionMismatch(f"regressors must be 2-D, got shape {phi.shape}")
@@ -196,10 +196,13 @@ def build_design(regressors: np.ndarray, sigma2: float) -> Design:
             break
         basis[:, rank] = v / r[rank, rank]
         rank += 1
-    chol = r[:rank, :rank].T / math.sqrt(sigma2)
-    # info is 0: chol's diagonal is positive
-    chol_inv = dtrtri(chol, lower=1)[0] if rank else chol.copy()
-    arrays = (basis[:, :rank], np.ascontiguousarray(chol), np.ascontiguousarray(chol_inv))
+    chol = np.ascontiguousarray(r[:rank, :rank].T / math.sqrt(sigma2))
+    # row i of L L^-1 = I: L[i,i] X[i,i] = 1, L[i,:i] X[:i,:i] + L[i,i] X[i,:i] = 0
+    chol_inv = np.zeros((rank, rank))
+    for i in range(rank):
+        chol_inv[i, i] = 1.0 / chol[i, i]
+        chol_inv[i, :i] = -np.einsum("j,jk->k", chol[i, :i], chol_inv[:i, :i]) / chol[i, i]
+    arrays = (basis[:, :rank], chol, chol_inv)
     for a in arrays:
         a.flags.writeable = False
     return Design(*arrays, float(sigma2), width)

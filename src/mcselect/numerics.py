@@ -3,12 +3,14 @@
 Everything on the likelihood scale crosses module boundaries as a natural
 log; log-zero is represented by ``-inf``.  The Cholesky factorization is
 LAPACK's (through scipy.linalg) behind a shape, finiteness and symmetry
-check.  The fit does not use it: models.build_design gets J's factor from
-Gram-Schmidt and decides rank by its own rule.  The chi-square CDF
-stays in-package: a lower series below the mode and, above it, a finite
-sum of positive terms that exists because the degrees of freedom are
-integers.  Importing scipy.special for it would cost more start-up time
-and memory than the whole CDF is worth.
+check.  No run path uses it: models.build_design gets J's factor from
+Gram-Schmidt, decides rank by its own rule and inverts the factor in
+numpy.  So cholesky and cholesky_solve import scipy.linalg when called,
+and importing or running the package loads numpy only.  The chi-square
+CDF stays in-package: a lower series below the mode and, above it, a
+finite sum of positive terms that exists because the degrees of freedom
+are integers.  Importing scipy.special for it would cost more start-up
+time and memory than the whole CDF is worth.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 
 class EmptyInput(ValueError):
@@ -54,6 +55,8 @@ def cholesky(m) -> np.ndarray:
 
     Raises NotPositiveDefinite when LAPACK meets a pivot <= 0.
     """
+    import scipy.linalg
+
     a = _as_square(m)
     try:
         return scipy.linalg.cholesky(a, lower=True, check_finite=False)
@@ -63,6 +66,8 @@ def cholesky(m) -> np.ndarray:
 
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L.T) x = b given the lower factor L."""
+    import scipy.linalg
+
     z = scipy.linalg.solve_triangular(L, b, lower=True)
     return scipy.linalg.solve_triangular(L, z, lower=True, trans="T")
 

@@ -4,6 +4,7 @@ No package code calls these: the rules score the whitened squared distance
 q, and these spell out what q stands for in theta-space.
 
     fim(model)                 the observed information J = L L'
+    exact_tril_inverse(L)      L^-1 of a float lower factor, in rationals
     box_log_volume(box)        log of a Box's volume
     sample_ellipsoid_direct    exact uniform draws on an Ellipsoid
 """
@@ -11,6 +12,7 @@ q, and these spell out what q stands for in theta-space.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,6 +22,19 @@ from mcselect.sampling import SampleBatch, standard_normal
 def fim(model) -> np.ndarray:
     """J = L L' of a fit, exactly symmetric: J_ij and J_ji sum the same products."""
     return np.einsum("ik,jk->ij", model.chol, model.chol)
+
+
+def exact_tril_inverse(L) -> list:
+    """The exact inverse of the float lower-triangular L, as rows of Fractions:
+    forward substitution with no rounding, so it judges a float L^-1."""
+    d = len(L)
+    a = [[Fraction(float(x)) for x in row] for row in L]
+    inv = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        inv[i][i] = 1 / a[i][i]
+        for k in range(i):
+            inv[i][k] = -sum(a[i][j] * inv[j][k] for j in range(k, i)) / a[i][i]
+    return inv
 
 
 def box_log_volume(box) -> float:

@@ -652,12 +652,12 @@ class TestKeptPool:
 
 
 class TestSharedFactor:
-    """One design per cell (N, max_order, sigma2): its regressors and its one
-    triangular inverse are built on the first dataset of the cell only.  No
-    Cholesky and no triangular solve run.  No rule builds an ellipsoid: ue,
-    ueg and ge make one radius-only estimate per order and dataset; ub and
-    ub-strat build one whitened box per order on the cell's first dataset
-    only; aic and bic need neither."""
+    """One design per cell (N, max_order, sigma2): its regressors are built
+    on the first dataset of the cell only.  No scipy kernel runs: no
+    Cholesky, no dtrtri and no triangular solve.  No rule builds an
+    ellipsoid: ue, ueg and ge make one radius-only estimate per order and
+    dataset; ub and ub-strat build one whitened box per order on the cell's
+    first dataset only; aic and bic need neither."""
 
     def _count(self, monkeypatch, module, name, calls=None):
         calls = [] if calls is None else calls
@@ -703,16 +703,16 @@ class TestSharedFactor:
                "rules": rules, "samples": 50, "seed": 3}
         models.polynomial_design.cache_clear()
         select_once(Dataset(np.sin(np.arange(100.0)), 1.0), config_from_dict(raw))
-        assert counts() == (0, 1, 1, 0, 1)
+        assert counts() == (0, 1, 0, 0, 1)
         assert (len(built), len(by_radius), len(whitened)) == (0, radial, boxes)
         # a second dataset of the same cell reuses the design and its boxes
         select_once(Dataset(np.cos(np.arange(100.0)), 1.0), config_from_dict(raw))
-        assert counts() == (0, 1, 1, 0, 1)
+        assert counts() == (0, 1, 0, 0, 1)
         assert (len(built), len(by_radius), len(whitened)) == (0, 2 * radial, boxes)
         # a new sigma2 is a new cell: exactly one more design
         raw["sigma2"] = 0.37
         select_once(Dataset(np.sin(np.arange(100.0)), 0.37), config_from_dict(raw))
-        assert counts() == (0, 2, 2, 0, 2)
+        assert counts() == (0, 2, 0, 0, 2)
         assert len(whitened) == 2 * boxes
 
     @pytest.mark.parametrize("rule", ["ub", "ub-strat"])

@@ -1,15 +1,15 @@
 import math
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dtrtri
 
 from conftest import TRUE_COEFFS, fd_hessian
-from reference import fim
+from reference import exact_tril_inverse, fim
 from mcselect import models
 from mcselect.models import (
     Dataset,
@@ -216,7 +216,9 @@ class TestFitNested:
             y = polynomial_regressors(n, 4) @ np.array(TRUE_COEFFS) + noise
             data = Dataset(y, sigma2)
             phi = polynomial_regressors(n, 8)
-            nested = fit_nested(data, build_design(phi, sigma2))
+            design = build_design(phi, sigma2)
+            nested = fit_nested(data, design)
+            exact = exact_tril_inverse(design.chol)
             assert len(nested) == 8
             missing = [f is None for f in nested]
             assert missing == sorted(missing)  # the None entries are a suffix
@@ -232,9 +234,16 @@ class TestFitNested:
                     continue
                 assert np.array_equal(fim(got), fim(ref)), (n, d)
                 assert np.max(np.abs(got.chol - ref.chol)) <= 1e-12 * np.max(np.abs(ref.chol))
-                # the leading block of the max-order inverse inverts this
-                # order's own factor, to the bit
-                assert np.array_equal(got.chol_inv, dtrtri(got.chol, lower=1)[0]), (n, d)
+                # against the exact inverse of the same float factor, each
+                # entry is within d eps (|L^-1| |L| |L^-1|), the forward-
+                # substitution bound; the leading blocks of all three are
+                # the order's own, as every factor is lower-triangular
+                inv = np.abs(got.chol_inv)
+                bound = d * np.finfo(float).eps * (inv @ np.abs(got.chol) @ inv)
+                for i in range(d):
+                    for k in range(i + 1):
+                        err = abs(Fraction(float(got.chol_inv[i, k])) - exact[i][k])
+                        assert err <= bound[i, k], (n, d, i, k)
                 # columns span powers of 5, so the residual is bounded entrywise
                 # against |L| |L^-1|, the standard bound for a triangular inverse
                 resid = np.abs(got.chol @ got.chol_inv - np.eye(d))

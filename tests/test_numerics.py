@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -107,21 +108,60 @@ class TestLogDet:
         assert math.isclose(log_det(m), ld, rel_tol=1e-10, abs_tol=1e-10)
 
 
-def test_import_loads_no_scipy_special_or_stats():
-    # chi2_cdf is in-package so that importing the package and its CLI
-    # never pulls in scipy.special or scipy.stats
+_RUN_WITHOUT_SCIPY = """
+import json, os, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from mcselect.cli import main
+from mcselect.models import generate_data, save_dataset_csv
+from mcselect.sampling import random_stream
+
+tmp = sys.argv[1]
+data = os.path.join(tmp, "data.csv")
+save_dataset_csv(data, generate_data(random_stream(7, 0), 4, (0.1, 0.1, -0.3, 0.4), 0.37, 100))
+rules = ["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"]
+configs = {
+    "select": {"experiment": "select", "sigma2": 0.37, "max_order": 6,
+               "rules": rules, "samples": 200, "seed": 7},
+    "fixed": {"experiment": "fixed", "sigma2": 1.0, "max_order": 3, "rules": rules,
+              "samples": 100, "n_values": [20, 40], "replications": 4,
+              "true_order": 2, "true_coefficients": [0.4, -0.2], "seed": 13},
+}
+for name, cfg in configs.items():
+    with open(os.path.join(tmp, name + ".json"), "w") as fh:
+        json.dump(cfg, fh)
+runs = [
+    ["select", data, "--config", os.path.join(tmp, "select.json")],
+    ["experiment", "--config", os.path.join(tmp, "fixed.json"), "--jobs", "1"],
+    ["experiment", "--config", os.path.join(tmp, "fixed.json"), "--jobs", "2"],
+    ["sample-diag", "--config", os.path.join(tmp, "fixed.json")],
+]
+codes = [main(argv + ["--out", os.path.join(tmp, str(k))]) for k, argv in enumerate(runs)]
+loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod)
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_import_and_runs_load_no_scipy(tmp_path):
+    # design build, rules and CLI are numpy only: scipy is a dependency just
+    # for the exported cholesky, cholesky_solve and log_det, which no run
+    # path calls, so neither importing the package nor running it loads it
     src = os.path.dirname(os.path.dirname(os.path.abspath(mcselect.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
     code = (
         "import sys, mcselect, mcselect.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.special', 'scipy.stats'))))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # each command, parallel workers included, with every scipy import
+    # failing: select, experiment at --jobs 1 and 2, and sample-diag
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "loaded": []}
 
 
 class TestChi2Cdf:
