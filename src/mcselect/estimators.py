@@ -16,7 +16,8 @@ prior there, with its signature (rng, model, prior, m):
 ue, ueg and ge take the radius mu of the ellipsoid
 (theta - theta_hat)' J (theta - theta_hat) <= mu.  ub and ub-strat take
 the WhitenedBox of its bounding box (Design.box), of one segment for ub,
-which is the one-stratum case of ub-strat's kernel.
+which is the one-stratum case of ub-strat's kernel.  Each draws from rng
+exactly what it uses, and ueg draws nothing.
 
 aic/bic score -2 max_loglik + gamma * dim with gamma = 2 and log N.
 """
@@ -30,8 +31,7 @@ import numpy as np
 
 from .numerics import chi2_cdf, unit_ball_volume
 from .regions import WhitenedBox
-from .sampling import (AcceptanceTooLow, accept_reject, skip_uniforms, standard_normal_sq,
-                       uniform_box_sq)
+from .sampling import AcceptanceTooLow, accept_reject, standard_normal_sq, uniform_box_sq
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -99,14 +99,12 @@ def _log_mean_and_se(log_weights: np.ndarray) -> tuple[float, float]:
 def ue_estimate(rng, model, mu: float, m: int) -> MarginalEstimate:
     """Average likelihood over a uniform draw on the ellipsoid of radius mu.
 
-    A uniform point of the whitened ball is a Gaussian direction z/|z|,
-    z = standard_normal(rng, (m, d)), at radius sqrt(mu) U^(1/d), so its
-    q = mu U^(2/d) whatever the direction: the 2 ceil(m d / 2) direction
-    uniforms are skipped and the m radii drawn.
+    A uniform point of the whitened ball is a direction at radius
+    sqrt(mu) U^(1/d), so its q = mu U^(2/d) whatever the direction: only
+    the m radii are drawn.
     """
     _check(m, mu)
     d = model.dim
-    skip_uniforms(rng, 2 * ((m * d + 1) // 2))
     q = (math.sqrt(mu) * rng.random(m) ** (1.0 / d)) ** 2
     log_mean, se = _log_mean_and_se(model.log_likelihood_radial(q))
     return MarginalEstimate(log_mean, se, m, "ue")
@@ -122,12 +120,11 @@ def ueg_estimate(rng, model, mu: float, m: int) -> MarginalEstimate:
     with F_d the chi-square CDF, vol = mu^(d/2) V_d / sqrt(det J) and
     log(p / g) = mll - log sqrt(det J) + (d/2) log 2 pi at every draw for
     the linear Gaussian family.  det J cancels, so the error is zero and
-    the value is mll + log F_d(mu) - (d/2) log mu - log V_d + (d/2) log 2 pi;
-    the stream skips sample_gaussian's m d normals.
+    the value is mll + log F_d(mu) - (d/2) log mu - log V_d + (d/2) log 2 pi,
+    and nothing is drawn.
     """
     _check(m, mu)
     d = model.dim
-    skip_uniforms(rng, 2 * ((m * d + 1) // 2))
     log_value = (model.max_loglik + math.log(chi2_cdf(d, mu)) - 0.5 * d * math.log(mu)
                  - math.log(unit_ball_volume(d)) + 0.5 * d * LOG_2PI)
     return MarginalEstimate(log_value, 0.0, m, "ueg")

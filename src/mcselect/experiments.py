@@ -6,8 +6,10 @@ Two experiment kinds share one engine:
     random   true coefficients drawn uniformly per order, averaged over
              orders, coefficient draws, and noise replications
 
-Every replication owns a counter-based stream keyed by (seed, task index),
-so results are independent of worker count and arrival order.  A
+Every replication owns counter-based streams keyed by (seed, task index),
+so results are independent of worker count and arrival order.  Its data
+come from counter slot 0 and each rule draws from a slot of its own (see
+RULES), so a rule's result does not depend on which other rules run.  A
 replication sends back the orders it excluded and one record per rule:
 (selected order or None, sum of the rule's log SEs, their count).  One
 loop folds the records in task order into the tallies, so the CSV
@@ -64,7 +66,10 @@ from .selection import SelectionOutcome, select_criterion, select_map
 # of the fit's order: the config's radius, or for the box rules the
 # whitened bounding box that the fit's design builds once per cell.
 # Estimators are looked up by name at call time, so a wrapper patched onto
-# this module (a tracer, a test double) sees every call.
+# this module (a tracer, a test double) sees every call.  Rule r of task i
+# draws from random_stream(seed, i, slot) with slot 1 + r's position here,
+# orders ascending; slot 0 holds the task's data.  A new rule goes last, so
+# no existing rule's stream moves.
 RULES = {
     "aic": lambda rng, f, c: aic(f),
     "bic": lambda rng, f, c: bic(f, f.data.n_points),
@@ -78,6 +83,7 @@ RULES = {
         rng, f, f.design.box(f.dim, c.mu_for(f.dim), c.strat_segments()), c.samples
     ),
 }
+_SLOT = {rule: slot for slot, rule in enumerate(RULES, start=1)}
 VALID_EXPERIMENTS = ("fixed", "random", "select")
 
 # streams >= this index feed coefficient draws; replication streams count
@@ -267,15 +273,16 @@ def candidate_fits(data: Dataset, config: ExperimentConfig) -> list:
         data, polynomial_design(data.n_points, config.max_order, data.noise_variance))]
 
 
-def score_candidates(data: Dataset, config: ExperimentConfig, rng, fits: list) -> dict:
+def score_candidates(data: Dataset, config: ExperimentConfig, index: int, fits: list) -> dict:
     """Apply every configured rule to every candidate order of one dataset.
 
-    Returns rule -> SelectionOutcome.  fits is candidate_fits(data, config);
-    orders it marks None are excluded from every rule (None scores).  With
-    no order left, or where a rule's box collapses or its rejection sampler
-    stalls, the rule is excluded as a whole: its selected_order is None and
-    extra["excluded"] gives the reason.  Monte-Carlo rules consume the
-    stream in config order, orders ascending.
+    Returns rule -> SelectionOutcome.  index is the dataset's task index:
+    each rule draws from its own stream of (config.seed, index), as RULES
+    lays out.  fits is candidate_fits(data, config); orders it marks None
+    are excluded from every rule (None scores).  With no order left, or
+    where a rule's box collapses or its rejection sampler stalls, the rule
+    is excluded as a whole: its selected_order is None and extra["excluded"]
+    gives the reason.
     """
     if all(f is None for f in fits):
         reason = "no order has a finite maximum log-likelihood"
@@ -283,7 +290,7 @@ def score_candidates(data: Dataset, config: ExperimentConfig, rng, fits: list) -
                 for rule in config.rules}
     outcomes: dict[str, SelectionOutcome] = {}
     for rule in config.rules:
-        scorer = RULES[rule]
+        scorer, rng = RULES[rule], random_stream(config.seed, index, _SLOT[rule])
         try:
             scored = [None if f is None else scorer(rng, f, config) for f in fits]
         except (BoxCollapsed, AcceptanceTooLow) as err:
@@ -311,7 +318,7 @@ def _replication_task(args) -> tuple:
     data = generate_data(rng, true_order, coeffs, config.sigma2, n_points)
     fits = candidate_fits(data, config)
     records = {}
-    for rule, out in score_candidates(data, config, rng, fits).items():
+    for rule, out in score_candidates(data, config, stream_index, fits).items():
         ses = [v for v in out.extra.get("mc_std_error_log", ()) if v is not None]
         records[rule] = (out.selected_order, float(np.sum(ses)), len(ses))
     return [order for order, f in enumerate(fits, start=1) if f is None], records
@@ -491,8 +498,7 @@ def select_once(data: Dataset, config: ExperimentConfig) -> dict:
     """Apply every configured rule to one observed dataset."""
     if config.seed is None:
         raise ConfigError("config seed must be resolved before running")
-    rng = random_stream(config.seed, 0)
-    outcomes = score_candidates(data, config, rng, candidate_fits(data, config))
+    outcomes = score_candidates(data, config, 0, candidate_fits(data, config))
     if all("excluded" in out.extra for out in outcomes.values()):
         raise NoViableCandidate("every rule was excluded: " + "; ".join(
             f"{rule}: {out.extra['excluded']}" for rule, out in outcomes.items()
@@ -506,8 +512,9 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     Fits one simulated dataset and reports, per candidate order, the
     empirical acceptance rate of box rejection and Gaussian rejection next
     to the chi-square mass rho of the ellipsoid.  Both run in the whitened
-    frame with the rules' own draws: ub's uniform on the cell's whitened
-    bounding box and ge's standard normals, each kept when q = |z|^2 <= mu.
+    frame with the rules' own draws from their own streams: ub's uniform on
+    the cell's whitened bounding box and ge's standard normals, each kept
+    when q = |z|^2 <= mu.
     A collapsed bounding box raises BoxCollapsed, as it excludes ub.  A
     sampler whose acceptance falls below the floor gets null acceptance and
     proposals, and its AcceptanceTooLow message under below_floor.  Coverage
@@ -519,12 +526,12 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     if config.seed is None:
         raise ConfigError("config seed must be resolved before running")
     n_points = config.n_values[0]
-    rng = random_stream(config.seed, 0)
-    data = generate_data(
-        rng, config.true_order, config.true_coefficients, config.sigma2, n_points
-    )
+    data = generate_data(random_stream(config.seed, 0), config.true_order,
+                         config.true_coefficients, config.sigma2, n_points)
     design = polynomial_design(n_points, config.max_order, config.sigma2)
     fits = fit_nested(data, design)
+    box_rng = random_stream(config.seed, 0, _SLOT["ub"])
+    gauss_rng = random_stream(config.seed, 0, _SLOT["ge"])
     per_order = []
     for order, f in enumerate(fits, start=1):
         if f is None:
@@ -536,10 +543,11 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         row = {"order": order, "mu": mu,
                "ellipsoid_mass_rho": chi2_cdf(order, mu), "below_floor": {}}
         proposals = (
-            ("box_rejection", lambda r, k: uniform_box_sq(r, box, k).T),
-            ("gaussian_rejection", lambda r, k: standard_normal_sq(r, k, order)[:, None]),
+            ("box_rejection", box_rng, lambda r, k: uniform_box_sq(r, box, k).T),
+            ("gaussian_rejection", gauss_rng,
+             lambda r, k: standard_normal_sq(r, k, order)[:, None]),
         )
-        for name, propose in proposals:
+        for name, rng, propose in proposals:
             try:
                 batch = accept_reject(rng, propose, lambda q: q[:, 0] <= mu, config.samples)
             except AcceptanceTooLow as err:

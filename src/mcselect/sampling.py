@@ -1,15 +1,17 @@
 """Seeded random streams and the samplers of the priors.
 
-Streams are counter-based (Philox) and keyed by (seed, stream index), so
-replications can be dealt out to workers in any order and still produce
-identical draws.  Normals come from Box-Muller on the stream's uniforms.
+Streams are counter-based (Philox), keyed by (seed, stream index) and
+started at a counter slot, so replications can be dealt out to workers in
+any order and still produce identical draws, and the slots of one key are
+disjoint streams.  Normals come from Box-Muller on the stream's uniforms.
+Every sampler draws exactly the uniforms it uses.
 
 The rules and sample-diag draw in the whitened frame z = (theta -
 theta_hat) L and keep only q = |z|^2: standard_normal_sq for the Gaussian
 and uniform_box_sq for a WhitenedBox.  Rejection runs through one
 accept-reject loop on a boolean mask.  The theta-space samplers below
 (uniform box, ellipsoid by box rejection, Gaussian and truncated Gaussian)
-take the same uniforms; no package code calls them.
+are the tests' references; no package code calls them.
 """
 
 from __future__ import annotations
@@ -49,13 +51,18 @@ class SampleBatch:
         return self.accepted_count / self.proposed_count
 
 
-def random_stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, index); same pair, same draws."""
-    for name, v in (("seed", seed), ("index", index)):
+def random_stream(seed: int, index: int = 0, slot: int = 0) -> np.random.Generator:
+    """Independent generator for (seed, index, slot); same triple, same draws.
+
+    Philox's key is [seed, index] and its counter starts at [0, 0, slot, 0],
+    so the slots of one key lie 2^128 counter blocks apart and never meet.
+    """
+    for name, v in (("seed", seed), ("index", index), ("slot", slot)):
         if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < 2**64:
             raise ValueError(f"{name} must be an integer in [0, 2^64), got {v!r}")
     key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    counter = np.array([0, 0, slot, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
@@ -78,9 +85,10 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def standard_normal_sq(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
-    """|z|^2 of each row of z = standard_normal(rng, (rows, d)), from the same
-    uniforms.  A Box-Muller pair's squares sum to r^2 = -2 log(1 - U1), so an
-    even d skips the angle block and an odd d takes one cos^2 per pair.
+    """|z|^2 of each row of z ~ N(0, I_d), from Box-Muller radii.  A pair's
+    squares sum to r^2 = -2 log(1 - U1), so an even d draws the pairs'
+    radial uniforms alone, and an odd d also draws one angle per pair,
+    whose cos^2 splits r^2.
     """
     pairs = (rows * d + 1) // 2
     sq = -2.0 * np.log(1.0 - rng.random(pairs))
@@ -88,8 +96,6 @@ def standard_normal_sq(rng: np.random.Generator, rows: int, d: int) -> np.ndarra
         # a row ends inside a pair: split each r^2 into its two squares
         cos_sq = sq * np.cos(2.0 * np.pi * rng.random(pairs)) ** 2
         sq = np.stack((cos_sq, sq - cos_sq), axis=1).ravel()[: rows * d]
-    else:
-        skip_uniforms(rng, pairs)
     sq = sq.reshape(rows, -1)
     # a BLAS row sum: np.add.reduce over a short axis costs several times more
     return sq @ np.ones(sq.shape[1])
@@ -106,19 +112,13 @@ def uniform_box_sq(rng: np.random.Generator, box: WhitenedBox, per: int) -> np.n
     return (np.square(z, out=z).reshape(-1, d) @ np.ones(d)).reshape(K, per)
 
 
-def skip_uniforms(rng: np.random.Generator, n: int) -> None:
-    """Advance rng as rng.random(n) would: a double takes one 64-bit word."""
-    rng.bit_generator.random_raw(n, output=False)
-
-
 def accept_reject(rng: np.random.Generator, propose, accept, m: int) -> SampleBatch:
     """Draw m points: keep each proposal where accept(points) is True.
 
     propose(rng, k) must return a (k, d) block; accept maps such a block to
-    a boolean mask of shape (k,).  The stream then skips the k uniforms a
-    density-ratio test would draw, so it ends where it always has.  Raises
-    AcceptanceTooLow if, after WARMUP_PROPOSALS proposals, fewer than
-    ACCEPTANCE_FLOOR of them stuck.
+    a boolean mask of shape (k,), so the stream advances by the proposals'
+    draws alone.  Raises AcceptanceTooLow if, after WARMUP_PROPOSALS
+    proposals, fewer than ACCEPTANCE_FLOOR of them stuck.
     """
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
@@ -134,7 +134,6 @@ def accept_reject(rng: np.random.Generator, propose, accept, m: int) -> SampleBa
         if keep.shape != (block,) or keep.dtype != bool:
             raise ValueError(f"accept returned {keep.dtype} of shape {keep.shape} "
                              f"for block {block}, not a boolean mask")
-        skip_uniforms(rng, block)
         if np.any(keep):
             kept.append(points[keep])
             accepted += int(np.count_nonzero(keep))

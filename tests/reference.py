@@ -7,12 +7,18 @@ q, and these spell out what q stands for in theta-space.
     exact_tril_inverse(L)      L^-1 of a float lower factor, in rationals
     box_log_volume(box)        log of a Box's volume
     sample_ellipsoid_direct    exact uniform draws on an Ellipsoid
+    Routed(*streams)           one generator's random() over several streams
+
+A kernel draws only the uniforms it uses, and a theta-space sampler draws
+more (directions, angles, all of a Gaussian).  Routed lets a reference take
+the kernel's uniforms from the kernel's stream and the rest from another.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import cycle
 
 import numpy as np
 
@@ -37,6 +43,17 @@ def exact_tril_inverse(L) -> list:
     return inv
 
 
+class Routed:
+    """Stands in for a generator that only random() is asked of: the k-th
+    call draws from streams[k % len(streams)]."""
+
+    def __init__(self, *streams):
+        self._next = cycle(streams)
+
+    def random(self, size):
+        return next(self._next).random(size)
+
+
 def box_log_volume(box) -> float:
     return float(np.sum(np.log(box.widths)))
 
@@ -49,7 +66,7 @@ def sample_ellipsoid_direct(rng, e, m: int) -> SampleBatch:
     maps the ball onto the ellipsoid (J = L L', and L^-1 is chol_inv).  The
     stream advances by exactly standard_normal(rng, (m, d)) and then
     rng.random(m): 2 ceil(m d / 2) + m uniforms, whatever the point values.
-    ue_estimate skips the direction uniforms and keeps only the radii.
+    ue_estimate draws only the m radii.
     """
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")

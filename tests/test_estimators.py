@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from conftest import TRUE_COEFFS, ConstantLikelihood, trapezoid_log_integral
-from reference import box_log_volume, fim, sample_ellipsoid_direct
+from reference import Routed, box_log_volume, fim, sample_ellipsoid_direct
 from mcselect.estimators import (
     _log_mean_and_se,
     _strata_var,
@@ -201,11 +201,13 @@ def _ub_exact_log(model, box):
     )
 
 
-def _assert_calibrated(estimate, exact, key, d, seeds=40):
-    """z = (estimate - exact) / SE over seeds: centred near 0, spread near 1."""
+def _assert_calibrated(estimate, exact, key, d, seeds=200):
+    """z = (estimate - exact) / SE over seeds: centred near 0, spread near 1.
+    At 200 seeds sd(z) has a standard error near 0.05, against 0.11 at 40,
+    so a calibrated estimator does not reach the bounds by chance."""
     z = []
     for s in range(seeds):
-        est = estimate(random_stream(key, 100 * d + s))
+        est = estimate(random_stream(key, 1000 * d + s))
         assert est.mc_std_error_log > 0.0
         z.append((est.log_value - exact) / est.mc_std_error_log)
     assert abs(float(np.mean(z))) < 0.6
@@ -326,8 +328,21 @@ def fits_by_n_and_dim():
 
 class TestRadialKernels:
     """ue, ueg and ge score the whitened distance q; their theta-space
-    references evaluate the likelihood at the points of the samplers that
-    take the same uniforms, so value and stream position must agree."""
+    references evaluate the likelihood at the points of the samplers.  A
+    reference takes the kernel's uniforms (ue's radii, ge's Box-Muller
+    radii) from the kernel's stream and the rest (ue's direction normals,
+    ge's angles at even d, all of ueg's Gaussian) from a second stream, so
+    value and stream position must agree."""
+
+    @staticmethod
+    def _routes(kernel, d):
+        """The reference's rng.random() calls, in turn: True for the
+        kernel's stream, False for the second."""
+        if kernel is ue_estimate:
+            return (False, False, True)  # standard_normal's two blocks, then the radii
+        if kernel is ueg_estimate:
+            return (False,)  # ueg consumes nothing
+        return (True,) if d % 2 else (True, False)  # ge: radii, then angles
 
     @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("n", [20, 100, 1000])
@@ -339,8 +354,10 @@ class TestRadialKernels:
             for m in (2, 333, 1000):
                 index = ((n * 10 + d) * 10 + k) * 10_000 + m
                 rng, ref_rng = random_stream(54, index), random_stream(54, index)
+                other = random_stream(54, index, 1)
+                routed = Routed(*(ref_rng if own else other for own in self._routes(kernel, d)))
                 est = kernel(rng, f, default_mu(d), m)
-                want, want_se = reference(ref_rng, f, e, m)
+                want, want_se = reference(routed, f, e, m)
                 assert abs(est.log_value - want) <= 1e-12 * max(1.0, abs(want))
                 assert abs(est.mc_std_error_log - want_se) <= 1e-10
                 assert est.samples_used == m

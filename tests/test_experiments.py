@@ -422,9 +422,8 @@ class TestTallyRecount:
         excluded = {}
         ses = {rule: [] for rule in cfg.rules}
         for i, (n, t, coeffs) in enumerate(self._tasks(cfg)):
-            rng = random_stream(cfg.seed, i)
-            data = generate_data(rng, t, coeffs, cfg.sigma2, n)
-            outcomes = score_candidates(data, cfg, rng, candidate_fits(data, cfg))
+            data = generate_data(random_stream(cfg.seed, i), t, coeffs, cfg.sigma2, n)
+            outcomes = score_candidates(data, cfg, i, candidate_fits(data, cfg))
             for order, score in enumerate(outcomes["aic"].scores, start=1):
                 if score is None:
                     excluded[order] = excluded.get(order, 0) + 1
@@ -805,7 +804,7 @@ class TestStreamLayout:
 class TestScorePins:
     """Pins every rule's per-order scores on a small panel of datasets.
 
-    The digest moves whenever the stream order, an estimator or a region
+    The digest moves whenever a rule's stream, an estimator or a region
     changes, which the criterion-only digests above and CSV tallies can
     miss.  Scores are hashed at 11 significant digits, so last-bit
     differences between CPUs do not move it.
@@ -828,8 +827,43 @@ class TestScorePins:
                                          f"{out.selected_order},{score:.10e}")
         assert len(lines) == 336
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "95717d4759c8e6a519005600c856c43d399f355f40af9111e8e8769bda7c422b"
+            "d3fd6c3448e115bcac9fb386d8a58883ee6c70c40f03de57818e2d40e1333558"
         )
+
+
+class TestRuleStreams:
+    """Each rule draws from a stream of its own, so its scores do not depend
+    on which other rules run, or in what order."""
+
+    SEVEN = ["aic", "bic", "ue", "ueg", "ge", "ub", "ub-strat"]
+
+    @pytest.mark.parametrize("rule", ["ue", "ge", "ub", "ub-strat"])
+    def test_select_once_alone_last_or_reversed(self, rule):
+        data = generate_data(random_stream(7, 0), 4, TRUE_COEFFS, 0.37, 100)
+        others = [r for r in self.SEVEN if r != rule]
+        seen = []
+        for rules in ([rule], others + [rule], self.SEVEN[::-1]):
+            cfg = config_from_dict({"experiment": "select", "sigma2": 0.37, "max_order": 6,
+                                    "rules": rules, "samples": 200, "seed": 7})
+            out = select_once(data, cfg)[rule]
+            seen.append((out.scores, out.extra["mc_std_error_log"], out.selected_order))
+        assert seen[1] == seen[0]
+        assert seen[2] == seen[0]
+
+    def test_experiment_rows_of_a_rule_alone_and_among_others(self, tmp_path):
+        rows = []
+        for k, rules in enumerate((["ub"], ["aic", "ue", "ge", "ub"])):
+            cfg = fixed_config(rules=rules, max_order=4, n_values=[20, 40], replications=20,
+                               samples=100)
+            report = run_experiment(cfg)
+            paths = write_report(report, tmp_path / str(k))
+            csv_rows = {}
+            for name in ("histogram", "prob_correct", "avg_prob"):
+                with open(paths[name]) as fh:
+                    csv_rows[name] = [line for line in fh if line.startswith("ub,")]
+            rows.append((csv_rows, report.failures["ub"], report.mean_mc_std_error_log["ub"]))
+        assert all(rows[0][0].values())
+        assert rows[1] == rows[0]
 
 
 class TestSelectOnce:

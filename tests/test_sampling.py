@@ -16,7 +16,6 @@ from mcselect.sampling import (
     sample_truncated_gaussian,
     sample_uniform_box,
     sample_uniform_ellipsoid,
-    skip_uniforms,
     standard_normal,
     standard_normal_sq,
 )
@@ -42,20 +41,26 @@ class TestRandomStream:
             random_stream(0, 2**64)
         with pytest.raises(ValueError):
             random_stream("seed", 0)
+        with pytest.raises(ValueError, match="^slot must be"):
+            random_stream(0, 0, -1)
+        with pytest.raises(ValueError, match="^slot must be"):
+            random_stream(0, 0, 2**64)
+        with pytest.raises(ValueError, match="^slot must be"):
+            random_stream(0, 0, 1.0)
 
+    def test_slot_zero_is_the_key_alone(self):
+        key = np.array([42, 7], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(1000)
+        assert np.array_equal(random_stream(42, 7).random(1000), want)
+        assert np.array_equal(random_stream(42, 7, 0).random(1000), want)
 
-class TestSkipUniforms:
-    @pytest.mark.parametrize("offset", range(8))
-    def test_same_state_as_drawing(self, offset):
-        # Philox hands out 64-bit words four at a time, so offsets 0..7 put
-        # the skip at every position of its buffer, twice
-        for n in [*range(10), 999, 6000, 6001]:
-            drawn, skipped = random_stream(77, n), random_stream(77, n)
-            drawn.random(offset)
-            skipped.random(offset)
-            drawn.random(n)
-            skip_uniforms(skipped, n)
-            assert np.array_equal(drawn.random(9), skipped.random(9))
+    @pytest.mark.parametrize("slot", [1, 2, 7, 2**64 - 1])
+    def test_slot_is_numpys_jump(self, slot):
+        # numpy's Philox.jumped(j) moves the counter j * 2^128 blocks on:
+        # an independent reference for the slot's starting counter
+        key = np.array([42, 7], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key).jumped(slot)).random(1000)
+        assert np.array_equal(random_stream(42, 7, slot).random(1000), want)
 
 
 class TestStandardNormal:
@@ -87,8 +92,8 @@ class TestStandardNormal:
 
 class TestStandardNormalSq:
     """Row norms of standard_normal's block from the Box-Muller radii: an even
-    d skips the angle uniforms, an odd d reads them (rows * d odd included);
-    the stream moves alike."""
+    d draws only the pairs' radial uniforms, an odd d also draws their angle
+    uniforms (rows * d odd included)."""
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_matches_row_norms(self, d):
@@ -101,7 +106,10 @@ class TestStandardNormalSq:
             # r^2 - r^2 cos^2 loses relative digits when sin^2 is tiny, not
             # absolute ones
             assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + want))
-            assert rng.random() == ref_rng.random()
+            pairs = (rows * d + 1) // 2
+            advanced = random_stream(13, 10 * rows + d)
+            advanced.random(pairs if d % 2 == 0 else 2 * pairs)
+            assert rng.random() == advanced.random()
 
 
 class TestAcceptReject:
@@ -117,14 +125,13 @@ class TestAcceptReject:
         assert batch.accepted_count == batch.proposed_count
 
     @pytest.mark.parametrize("m, block", [(10, 64), (100, 100)])
-    def test_skips_the_accept_uniforms(self, m, block):
-        # one block of proposals, then the block's accept uniforms skipped:
-        # the stream ends where a sampler drawing them would leave it
+    def test_advances_by_the_proposals(self, m, block):
+        # one block of proposals and nothing else: the stream ends where
+        # drawing that block leaves it
         rng, ref = random_stream(13, m), random_stream(13, m)
         batch = accept_reject(rng, self._unit_box_proposer(), lambda p: np.ones(len(p), bool), m)
         assert batch.proposed_count == block
         assert np.array_equal(batch.points, ref.random((block, 1))[:m])
-        ref.random(block)
         assert np.array_equal(rng.random(9), ref.random(9))
 
     @pytest.mark.parametrize("accept", [
